@@ -12,8 +12,7 @@
 // Epoch files share the package's crash discipline: CRC-framed payload,
 // atomic temp-file/fsync/rename writes. References always point at the
 // epoch where the chunk is inline (one-hop resolution — reading epoch E
-// never walks a chain), which also keeps GC a single mark pass over the
-// latest epoch's table.
+// never walks a chain).
 //
 // Callers that want byte-stable sections across epochs must encode large
 // vectors fixed-width (AppendF64s/F64sFromBytes), not with gob: gob's
@@ -147,6 +146,9 @@ type DeltaWriter struct {
 	// a chain it has not read.
 	prev        map[string][]DeltaChunk
 	sinceRebase int
+	// refs maps each epoch this writer wrote that is still on disk to the
+	// epochs its references point at, for GC's reachability walk.
+	refs map[uint64][]uint64
 }
 
 // NewDeltaWriter opens (creating if needed) a delta chain in dir. If
@@ -160,7 +162,7 @@ func NewDeltaWriter(dir string, opts DeltaOptions) (*DeltaWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &DeltaWriter{dir: dir, opts: opts.withDefaults()}
+	w := &DeltaWriter{dir: dir, opts: opts.withDefaults(), refs: map[uint64][]uint64{}}
 	if ok {
 		w.epoch = latest
 	}
@@ -193,6 +195,7 @@ func (w *DeltaWriter) Write(sections []Section) (uint64, int64, error) {
 	var table bytes.Buffer
 	var blob bytes.Buffer
 	next := make(map[string][]DeltaChunk, len(sections))
+	srcs := map[uint64]bool{}
 
 	var baseEpoch uint64
 	if !rebase {
@@ -226,6 +229,7 @@ func (w *DeltaWriter) Write(sections []Section) (uint64, int64, error) {
 				table.WriteByte(chunkRef)
 				table.Write(h[:])
 				writeU64(src)
+				srcs[src] = true
 				chunks = append(chunks, DeltaChunk{Hash: h, SrcEpoch: src})
 				continue
 			}
@@ -268,21 +272,33 @@ func (w *DeltaWriter) Write(sections []Section) (uint64, int64, error) {
 	} else {
 		w.sinceRebase++
 	}
-	w.gc(next, epoch)
+	for src := range srcs {
+		w.refs[epoch] = append(w.refs[epoch], src)
+	}
+	w.gc(epoch)
 	return epoch, size, nil
 }
 
-// gc removes epoch files unreachable from the latest epoch: anything
-// other than the latest itself and the epochs its references point at.
-// Failures are ignored — a leftover file is garbage, not corruption, and
-// the next GC pass retries.
-func (w *DeltaWriter) gc(table map[string][]DeltaChunk, latest uint64) {
-	keep := map[uint64]bool{latest: true}
-	for _, chunks := range table {
-		for _, c := range chunks {
-			if !c.Inline {
-				keep[c.SrcEpoch] = true
-			}
+// gc removes epoch files unreachable from the latest epoch: it keeps the
+// latest, the epochs its references point at, the epochs their
+// references point at, and so on. Every kept epoch therefore resolves in
+// full, which is what AuditDelta checks; the latest rebase has no
+// references, so the kept set never reaches past it. Failures are
+// ignored — a leftover file is garbage, not corruption, and the next GC
+// pass retries.
+func (w *DeltaWriter) gc(latest uint64) {
+	keep := map[uint64]bool{}
+	for stack := []uint64{latest}; len(stack) > 0; {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !keep[e] {
+			keep[e] = true
+			stack = append(stack, w.refs[e]...)
+		}
+	}
+	for e := range w.refs {
+		if !keep[e] {
+			delete(w.refs, e)
 		}
 	}
 	epochs, err := DeltaEpochs(w.dir)

@@ -137,6 +137,41 @@ func TestDeltaRebaseAndGC(t *testing.T) {
 	sectionsEqual(t, got, []Section{{Name: "v", Data: vec}})
 }
 
+// TestDeltaGCKeepsTransitiveSources pins GC against the auditor. Epoch 3
+// references epoch 2 for a chunk epoch 2 holds inline, and epoch 2 in
+// turn references epoch 1. Reading epoch 3 needs only epoch 2, but an
+// epoch left on disk must resolve in full, so GC has to keep epoch 1 too.
+func TestDeltaGCKeepsTransitiveSources(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 64, RebaseEvery: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := make([]byte, 2*64)
+	writeEpoch(t, w, []Section{{Name: "v", Data: vec}}) // 1: both chunks inline
+	vec[64] = 1
+	writeEpoch(t, w, []Section{{Name: "v", Data: vec}}) // 2: chunk 0 → 1, chunk 1 inline
+	vec[0] = 1
+	writeEpoch(t, w, []Section{{Name: "v", Data: vec}}) // 3: chunk 0 inline, chunk 1 → 2
+
+	if epochs, _ := DeltaEpochs(dir); len(epochs) != 3 {
+		t.Fatalf("after GC epochs = %v, want [1 2 3]", epochs)
+	}
+	if _, err := AuditDelta(dir); err != nil {
+		t.Fatalf("audit after GC: %v", err)
+	}
+
+	// Once epoch 4 rewrites every chunk, nothing older is reachable.
+	vec[0], vec[64] = 2, 2
+	writeEpoch(t, w, []Section{{Name: "v", Data: vec}}) // 4: both chunks inline
+	if epochs, _ := DeltaEpochs(dir); len(epochs) != 1 || epochs[0] != 4 {
+		t.Fatalf("after GC epochs = %v, want [4]", epochs)
+	}
+	if _, err := AuditDelta(dir); err != nil {
+		t.Fatalf("audit after GC: %v", err)
+	}
+}
+
 func TestDeltaWriterResumeRebases(t *testing.T) {
 	dir := t.TempDir()
 	w, err := NewDeltaWriter(dir, DeltaOptions{ChunkSize: 64, RebaseEvery: 100})

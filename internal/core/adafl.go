@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sort"
 
 	"adafl/internal/compress"
 	"adafl/internal/device"
@@ -47,8 +48,10 @@ type Config struct {
 	DGCMsgClip float64
 }
 
-// DefaultConfig returns the configuration behind the paper's headline
-// numbers: k ≤ 5 of 10 clients, τ = 0.5, 5 warm-up rounds, 4x–210x ratios.
+// DefaultConfig returns the configuration behind the reproduction's
+// headline numbers: k ≤ 5 of 10 clients, 5 warm-up rounds and 4x–210x
+// ratios as in the paper, with τ = 0.3 and 0.8 of the K slots reserved
+// for the least-recently-selected clients (DESIGN.md §Deviations).
 func DefaultConfig() Config {
 	return Config{
 		K:           5,
@@ -100,10 +103,10 @@ func (c Config) AttachDGC(fed *fl.Federation) {
 	}
 }
 
-// SyncPlanner is AdaFL's adaptive node selection for the synchronous
-// engine. Each round it scores every client by equation 6 using the
-// client's cached local delta against the previous global delta and the
-// client's current link bandwidths, applies Algorithm 1, and assigns
+// SyncPlanner is AdaFL's adaptive node selection for synchronous rounds,
+// shared by the in-process engine (Plan) and the socket server
+// (PlanScores). Each round it gates and scales the candidates' utility
+// scores, applies Algorithm 1 with the fairness reservation, and assigns
 // rank-based compression ratios.
 //
 // During warm-up all clients participate at the warm-up ratio, letting the
@@ -147,11 +150,12 @@ type SyncPlanner struct {
 	// stochastic rounding (one derived stream per client).
 	NegotiationSeed uint64
 
-	dadaCodecs map[int]*compress.DAdaQuant
+	// LastSel maps a client ID to the round it last participated in, for
+	// the ExploreFrac fairness reservation; a client absent from the map
+	// has never participated. The socket server checkpoints it.
+	LastSel map[int]int
 
-	// lastSel records the round each client last participated, for the
-	// ExploreFrac fairness reservation.
-	lastSel []int
+	dadaCodecs map[int]*compress.DAdaQuant
 }
 
 // NewSyncPlanner returns a planner with the given configuration.
@@ -165,40 +169,43 @@ func (p *SyncPlanner) eligible(i int) bool {
 	return p.Eligible == nil || p.Eligible(i)
 }
 
-// Plan implements fl.RoundPlanner.
-func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
-	n := len(e.Fed.Clients)
-	if p.lastSel == nil {
-		p.lastSel = make([]int, n)
-		for i := range p.lastSel {
-			p.lastSel[i] = -1
-		}
-	}
-	if p.Cfg.Compression.InWarmup(round) || tensor.Norm2(e.LastGlobalDelta) == 0 {
-		out := make([]fl.Participation, 0, n)
-		ratio := p.Cfg.Compression.WarmupRatio
-		for i := 0; i < n; i++ {
-			if !p.eligible(i) {
-				continue
-			}
-			out = append(out, fl.Participation{Client: i, Ratio: ratio})
-			p.RatioStats.Observe(ratio)
-			p.lastSel[i] = round
-			if p.Perf != nil {
-				p.Perf.Record("dgc-encode",
-					p.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(e.Global))))
-			}
-		}
-		return p.negotiate(round, out)
-	}
+// warmup reports whether the round runs warm-up-style full participation:
+// inside the configured warm-up, or while the global model has not moved
+// yet (a zero global delta carries no direction to score against).
+func (p *SyncPlanner) warmup(round int, zeroDelta bool) bool {
+	return p.Cfg.Compression.InWarmup(round) || zeroDelta
+}
 
-	scores := make([]float64, n)
-	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
+// perf charges one event's cycles to the optional overhead monitor.
+func (p *SyncPlanner) perf(event string, flops float64) {
+	if p.Perf != nil {
+		p.Perf.Record(event, p.PerfProfile.CyclesForFLOPs(flops))
+	}
+}
+
+// reservedSlots is how many of the K selection slots the fairness
+// reservation takes: ExploreFrac·K rounded to the nearest integer and
+// clamped to [0, K]. At the default 0.8 every K ≥ 3 keeps at least one
+// Algorithm-1 top-score slot.
+func (c Config) reservedSlots() int {
+	return min(max(int(math.Round(c.ExploreFrac*float64(c.K))), 0), c.K)
+}
+
+// Plan implements fl.RoundPlanner: it scores the engine's clients by
+// equation 6 (each client's cached local delta against the previous
+// global delta, at its current link bandwidths), plans the round through
+// PlanScores, and attaches the planner-owned DAdaQuant codecs the
+// negotiator assigns.
+func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
+	zeroDelta := tensor.Norm2(e.LastGlobalDelta) == 0
+	warm := p.warmup(round, zeroDelta)
+	scores := make(map[int]float64, len(e.Fed.Clients))
 	for i, c := range e.Fed.Clients {
 		if !p.eligible(i) {
-			// Below any τ ≥ 0 and never the reservation's pick, so the
-			// client cannot enter the plan through either path.
-			scores[i] = math.Inf(-1)
+			continue
+		}
+		if warm {
+			scores[i] = 0 // warm-up plans ignore scores
 			continue
 		}
 		up, down := e.Fed.Net.Bandwidths(i, e.Now())
@@ -207,106 +214,11 @@ func (p *SyncPlanner) Plan(round int, e *fl.SyncEngine) []fl.Participation {
 			local = e.LastGlobalDelta // untried client: score as aligned
 		}
 		scores[i] = p.Cfg.Utility.Score(up, down, local, e.LastGlobalDelta)
-		if p.ScoreMult != nil {
-			scores[i] *= p.ScoreMult(i)
-		}
-		if p.Negotiator != nil {
-			scores[i] *= p.Negotiator.ScoreMult(i)
-		}
-		scoreHist.Observe(scores[i])
-		if p.Perf != nil {
-			p.Perf.Record("utility-score",
-				p.PerfProfile.CyclesForFLOPs(device.UtilityScoreFLOPs(len(local))))
-		}
+		p.perf("utility-score", device.UtilityScoreFLOPs(len(local)))
 	}
-
-	// Reserve part of the budget for the least-recently-selected clients,
-	// keeping the rest for pure Algorithm 1 top-score selection.
-	reserve := int(math.Ceil(p.Cfg.ExploreFrac * float64(p.Cfg.K)))
-	if reserve > p.Cfg.K {
-		reserve = p.Cfg.K
-	}
-	var selected []ScoredClient
-	if kTop := p.Cfg.K - reserve; kTop >= 1 {
-		selected = SelectClients(scores, kTop, p.Cfg.Tau)
-	}
-	chosen := make(map[int]bool, p.Cfg.K)
-	for _, sc := range selected {
-		chosen[sc.Client] = true
-	}
-	for slot := 0; slot < reserve; slot++ {
-		// Pick the unchosen client idle the longest (ties → lowest id).
-		best := -1
-		for i := 0; i < n; i++ {
-			if chosen[i] || !p.eligible(i) {
-				continue
-			}
-			if best == -1 || p.lastSel[i] < p.lastSel[best] {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		chosen[best] = true
-		selected = append(selected, ScoredClient{Client: best, Score: scores[best]})
-	}
-
-	// Fallback: with ExploreFrac 0 and every score below τ, Algorithm 1
-	// selects nobody and the round would burn wall-clock with no updates.
-	// Treat the round like warm-up instead: full participation at the
-	// warm-up ratio, which also refreshes every client's cached delta so
-	// the next round's scores are informed.
-	ratioHist := p.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets)
-	if len(selected) == 0 {
-		ratio := p.Cfg.Compression.WarmupRatio
-		out := make([]fl.Participation, 0, n)
-		for i := 0; i < n; i++ {
-			if !p.eligible(i) {
-				continue
-			}
-			out = append(out, fl.Participation{Client: i, Ratio: ratio})
-			p.RatioStats.Observe(ratio)
-			ratioHist.Observe(ratio)
-			p.lastSel[i] = round
-		}
-		return p.negotiate(round, out)
-	}
-	out := make([]fl.Participation, 0, len(selected))
-	for rank, sc := range selected {
-		ratio := p.Cfg.Compression.RatioForRank(rank, len(selected), round)
-		out = append(out, fl.Participation{Client: sc.Client, Ratio: ratio})
-		p.RatioStats.Observe(ratio)
-		ratioHist.Observe(ratio)
-		p.lastSel[sc.Client] = round
-		if p.Perf != nil {
-			p.Perf.Record("dgc-encode",
-				p.PerfProfile.CyclesForFLOPs(device.DGCEncodeFLOPs(len(e.LastGlobalDelta))))
-		}
-	}
-	return p.negotiate(round, out)
-}
-
-// negotiate refines a planned participation list through the negotiator:
-// the utility-ranked ratio becomes the baseline, the round's bandwidth
-// multiplier and byte history refine it, and clients switched to the
-// quantizing codec get the planner-owned per-client DAdaQuant instance
-// attached. A nil negotiator returns the plan untouched, so existing
-// sessions replay bit-identically.
-func (p *SyncPlanner) negotiate(round int, out []fl.Participation) []fl.Participation {
-	if p.Negotiator == nil {
-		return out
-	}
-	plan := make(map[int]float64, len(out))
-	for _, pt := range out {
-		plan[pt.Client] = pt.Ratio
-	}
-	var bw func(int) float64
-	if p.BandwidthMult != nil {
-		bw = func(id int) float64 { return p.BandwidthMult(id, round) }
-	}
-	asn := p.Negotiator.Assign(round, plan, bw)
+	out, asn := p.PlanScores(round, scores, zeroDelta)
 	for i := range out {
+		p.perf("dgc-encode", device.DGCEncodeFLOPs(len(e.Global)))
 		a, ok := asn[out[i].Client]
 		if !ok {
 			continue
@@ -317,6 +229,133 @@ func (p *SyncPlanner) negotiate(round int, out []fl.Participation) []fl.Particip
 		}
 	}
 	return out
+}
+
+// PlanScores plans one round over utility scores keyed by client ID. The
+// IDs are an opaque sparse set: on the socket server they are whatever
+// clients are connected, not 0..n-1. zeroDelta reports that the previous
+// global delta is zero, which plans the round like warm-up.
+//
+// The scores map is edited in place: clients Eligible rejects are deleted
+// and the rest are scaled by ScoreMult and the negotiator's feedback
+// multiplier, so on return it holds exactly the candidates the round
+// ranked. The plan lists the participants in rank order with their
+// utility-ranked ratios: Algorithm 1's top-score picks, then the fairness
+// reservation's least-recently-selected picks — or, during warm-up and
+// when both come up empty, every candidate in ascending ID order at the
+// warm-up ratio. With a Negotiator the codec assignments that supersede
+// those ratios come back too (nil otherwise).
+func (p *SyncPlanner) PlanScores(round int, scores map[int]float64, zeroDelta bool) ([]fl.Participation, map[int]CodecAssignment) {
+	for id := range scores {
+		if !p.eligible(id) {
+			delete(scores, id)
+			continue
+		}
+		if p.ScoreMult != nil {
+			scores[id] *= p.ScoreMult(id)
+		}
+		if p.Negotiator != nil {
+			scores[id] *= p.Negotiator.ScoreMult(id)
+		}
+	}
+	ids := make([]int, 0, len(scores))
+	for id := range scores {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+
+	var out []fl.Participation
+	if !p.warmup(round, zeroDelta) {
+		out = p.selectRanked(round, ids, scores)
+	}
+	// Warm-up, and the fallback when Algorithm 1 selects nobody (every
+	// score below τ with no reservation): full participation at the
+	// warm-up ratio. A zero-participant round would burn a round of the
+	// budget without moving the model; this one also refreshes every
+	// client's cached delta so the next round's scores are informed.
+	if len(out) == 0 {
+		out = make([]fl.Participation, 0, len(ids))
+		for _, id := range ids {
+			out = append(out, fl.Participation{Client: id, Ratio: p.Cfg.Compression.WarmupRatio})
+		}
+	}
+	if p.LastSel == nil {
+		p.LastSel = map[int]int{}
+	}
+	ratioHist := p.Metrics.Histogram("adafl_compression_ratio", obs.RatioBuckets)
+	for _, pt := range out {
+		p.LastSel[pt.Client] = round
+		p.RatioStats.Observe(pt.Ratio)
+		ratioHist.Observe(pt.Ratio)
+	}
+	return out, p.negotiate(round, out)
+}
+
+// selectRanked is Algorithm 1 plus the fairness reservation over the
+// sorted candidate IDs: the top K−reserve scores meeting τ, then the
+// reserved slots for the unchosen candidates idle the longest (ties go to
+// the lowest ID), each at its rank's compression ratio.
+func (p *SyncPlanner) selectRanked(round int, ids []int, scores map[int]float64) []fl.Participation {
+	vec := make([]float64, len(ids))
+	scoreHist := p.Metrics.Histogram("adafl_utility_score", obs.ScoreBuckets)
+	for i, id := range ids {
+		vec[i] = scores[id]
+		scoreHist.Observe(vec[i])
+	}
+	last := func(i int) int {
+		if r, ok := p.LastSel[ids[i]]; ok {
+			return r
+		}
+		return -1
+	}
+	reserve := p.Cfg.reservedSlots()
+	var order []int // indices into ids, in rank order
+	if kTop := p.Cfg.K - reserve; kTop >= 1 {
+		for _, sc := range SelectClients(vec, kTop, p.Cfg.Tau) {
+			order = append(order, sc.Client)
+		}
+	}
+	chosen := make([]bool, len(ids))
+	for _, i := range order {
+		chosen[i] = true
+	}
+	for slot := 0; slot < reserve; slot++ {
+		best := -1
+		for i := range ids {
+			if !chosen[i] && (best == -1 || last(i) < last(best)) {
+				best = i
+			}
+		}
+		if best == -1 {
+			break
+		}
+		chosen[best] = true
+		order = append(order, best)
+	}
+	out := make([]fl.Participation, len(order))
+	for rank, i := range order {
+		out[rank] = fl.Participation{Client: ids[i], Ratio: p.Cfg.Compression.RatioForRank(rank, len(order), round)}
+	}
+	return out
+}
+
+// negotiate refines the utility-ranked plan through the negotiator: the
+// ranked ratio becomes the baseline that the round's bandwidth multiplier
+// and byte history refine. A nil negotiator assigns nothing, so
+// un-negotiated sessions replay bit-identically.
+func (p *SyncPlanner) negotiate(round int, out []fl.Participation) map[int]CodecAssignment {
+	if p.Negotiator == nil {
+		return nil
+	}
+	plan := make(map[int]float64, len(out))
+	for _, pt := range out {
+		plan[pt.Client] = pt.Ratio
+	}
+	var bw func(int) float64
+	if p.BandwidthMult != nil {
+		bw = func(id int) float64 { return p.BandwidthMult(id, round) }
+	}
+	return p.Negotiator.Assign(round, plan, bw)
 }
 
 // dadaCodec returns the planner-owned DAdaQuant instance for the client,

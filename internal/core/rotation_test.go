@@ -103,9 +103,9 @@ func TestSyncPlannerRecordsSelectionRecency(t *testing.T) {
 	e := fl.NewSyncEngine(fed, fl.FedAvg{}, planner, 36)
 	e.EvalEvery = 0
 	e.RunRounds(cfg.Compression.WarmupRounds + 4)
-	// lastSel must be populated for every client after warm-up.
-	for i, ls := range planner.lastSel {
-		if ls < 0 {
+	// LastSel must hold every client after warm-up.
+	for i := range fed.Clients {
+		if _, ok := planner.LastSel[i]; !ok {
 			t.Fatalf("client %d never recorded as selected", i)
 		}
 	}

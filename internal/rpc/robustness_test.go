@@ -189,3 +189,53 @@ func tinyDataset(t *testing.T) *dataset.Dataset {
 	t.Helper()
 	return dataset.SynthMNIST(40, 16, 1)
 }
+
+// TestWelcomePrecedesFirstRound holds the last client's welcome back
+// after its hello has completed the quorum. Round 0 must still wait for
+// that welcome: a model broadcast that overtakes it leaves the welcome
+// arriving where a client expects its select, and the client fails with
+// a protocol violation.
+func TestWelcomePrecedesFirstRound(t *testing.T) {
+	beforeWelcome = func(id int) {
+		if id == 1 {
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	t.Cleanup(func() { beforeWelcome = nil })
+	newModel := func() *nn.Model { return nn.NewLogistic(4, 2, stats.NewRNG(1)) }
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: 2, Rounds: 1,
+		Cfg: core.DefaultConfig(), NewModel: newModel, Logf: quiet,
+		StragglerTimeout: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCh := make(chan error, 1)
+	go func() {
+		_, err := srv.Run()
+		errCh <- err
+	}()
+	for id := 0; id < 2; id++ { // client 1's hello completes the quorum
+		raw, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewConn(raw, nil)
+		defer c.Close()
+		if err := c.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 4}); err != nil {
+			t.Fatal(err)
+		}
+		e, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Type != MsgWelcome {
+			t.Fatalf("client %d: first message %v, want the welcome", id, e.Type)
+		}
+	}
+	srv.Kill()
+	if err := <-errCh; err != nil && err != ErrServerKilled {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"adafl/internal/core"
 	"adafl/internal/dataset"
 	"adafl/internal/nn"
+	"adafl/internal/obs"
 	"adafl/internal/stats"
 )
 
@@ -197,92 +199,79 @@ func TestNewServerValidation(t *testing.T) {
 	}
 }
 
-// TestServerSelectorSparseIDs regression-tests the eviction aftermath:
-// client IDs are no longer dense 0..n-1, and planning over a sparse or
-// shifted id set must neither panic nor select absent clients.
-func TestServerSelectorSparseIDs(t *testing.T) {
+// TestZeroGlobalDeltaPlansWarmup runs a loopback session with no
+// configured warm-up: the global delta is still zero at round 0, so the
+// planner's zero-delta rule must give every client the warm-up ratio
+// instead of ranking scores measured against a direction that does not
+// exist yet. Round 1 has a real delta and selects K.
+func TestZeroGlobalDeltaPlansWarmup(t *testing.T) {
+	const clients = 3
+	seed := uint64(13)
+	ds := dataset.SynthMNIST(300, 16, seed)
+	train, test := ds.Split(0.8, seed+1)
+	parts := dataset.PartitionIID(train, clients, seed+2)
+	newModel := func() *nn.Model {
+		return nn.NewImageMLP([]int{1, 16, 16}, []int{16}, 10, stats.NewRNG(seed+3))
+	}
 	cfg := core.DefaultConfig()
-	cfg.K = 2
-	cfg.Tau = 0
-	cfg.Compression.WarmupRounds = 1
-	sel := newServerSelector(cfg)
+	cfg.Compression.WarmupRounds = 0
+	cfg.ScaleRatiosForModel(5000)
+	cfg.K = 1
 
-	// Warm-up over sparse ids selects everyone at the warmup ratio.
-	warm := sel.plan(0, map[int]float64{7: 0.9, 42: 0.2, 3: 0.5})
-	if len(warm) != 3 {
-		t.Fatalf("warmup selected %d of 3", len(warm))
+	var events bytes.Buffer
+	evlog := obs.NewEventLogWriter(&events)
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: clients, Rounds: 2,
+		Cfg: cfg, NewModel: newModel, Test: test, EvalEvery: 2, Logf: quiet,
+		Events: evlog,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, id := range []int{3, 7, 42} {
-		if _, ok := warm[id]; !ok {
-			t.Fatalf("warmup missed id %d", id)
-		}
-	}
-
-	// Post-warmup: ids far beyond len(scores) — the old vec[id] indexing
-	// panicked here.
-	scores := map[int]float64{5: 0.9, 107: 0.8, 3000: 0.7}
-	for round := 1; round < 6; round++ {
-		plan := sel.plan(round, scores)
-		if len(plan) == 0 || len(plan) > cfg.K {
-			t.Fatalf("round %d: plan size %d with K=%d", round, len(plan), cfg.K)
-		}
-		for id, ratio := range plan {
-			if _, ok := scores[id]; !ok {
-				t.Fatalf("round %d: selected absent client %d", round, id)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunClient(ClientConfig{
+				Addr: srv.Addr(), ID: i, Data: parts[i], NewModel: newModel,
+				LocalSteps: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9,
+				Utility: cfg.Utility, UpBps: 1e6, DownBps: 1e6,
+				DGCClip: 10, DGCMsgClip: 2, Seed: seed + uint64(i), Logf: quiet,
+			}); err != nil {
+				t.Errorf("client %d: %v", i, err)
 			}
-			if ratio < 1 {
-				t.Fatalf("round %d: ratio %f < 1", round, ratio)
+		}()
+	}
+	res, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if err := evlog.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Rounds[0].Selected; got != clients {
+		t.Fatalf("round 0 selected %d of %d clients with a zero global delta", got, clients)
+	}
+	if got := res.Rounds[1].Selected; got != cfg.K {
+		t.Fatalf("round 1 selected %d clients, want K=%d", got, cfg.K)
+	}
+	evs, err := obs.ReadEvents(&events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range evs {
+		if ev.Type != "selection" || ev.Round != 0 {
+			continue
+		}
+		for id, ratio := range ev.Ratios {
+			if ratio != cfg.Compression.WarmupRatio {
+				t.Fatalf("round 0 client %d: ratio %v, want warm-up ratio %v", id, ratio, cfg.Compression.WarmupRatio)
 			}
 		}
+		return
 	}
-	// Fairness: over successive rounds every client must get selected at
-	// least once despite a fixed score ordering.
-	seen := map[int]bool{}
-	for round := 1; round < 8; round++ {
-		for id := range sel.plan(round, scores) {
-			seen[id] = true
-		}
-	}
-	if len(seen) != len(scores) {
-		t.Fatalf("rotation starved clients: only %d of %d ever selected", len(seen), len(scores))
-	}
-
-	// An empty score set (every client evicted mid-round) plans nothing.
-	if plan := sel.plan(9, map[int]float64{}); len(plan) != 0 {
-		t.Fatalf("empty scores planned %d clients", len(plan))
-	}
-}
-
-// TestServerSelectorEmptySelectionFallsBack pins the τ-starvation
-// fallback on the wire-protocol selector: with ExploreFrac 0 and every
-// reported score below τ, Algorithm 1 selects nobody, and the selector
-// must fall back to warm-up-style full participation rather than waste
-// the round on an empty plan.
-func TestServerSelectorEmptySelectionFallsBack(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.K = 2
-	cfg.Tau = 0.9
-	cfg.ExploreFrac = 0
-	cfg.Compression.WarmupRounds = 1
-	sel := newServerSelector(cfg)
-
-	scores := map[int]float64{1: 0.1, 5: 0.2, 9: 0.05} // all below τ
-	plan := sel.plan(3, scores)                        // round 3: past warm-up
-	if len(plan) != len(scores) {
-		t.Fatalf("fallback planned %d of %d clients", len(plan), len(scores))
-	}
-	for id, ratio := range plan {
-		if _, ok := scores[id]; !ok {
-			t.Fatalf("fallback selected absent client %d", id)
-		}
-		if ratio != cfg.Compression.WarmupRatio {
-			t.Fatalf("client %d: ratio %v, want warm-up ratio %v", id, ratio, cfg.Compression.WarmupRatio)
-		}
-	}
-	// The fallback must count as a selection for fairness bookkeeping.
-	for id := range scores {
-		if sel.last(id) != 3 {
-			t.Fatalf("client %d: lastSel %d, want 3", id, sel.last(id))
-		}
-	}
+	t.Fatal("no round-0 selection event")
 }

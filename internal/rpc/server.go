@@ -36,6 +36,11 @@ const DefaultStragglerTimeout = 30 * time.Second
 // connection so a dialer that never speaks cannot pin a server goroutine.
 const helloTimeout = 5 * time.Second
 
+// beforeWelcome, when non-nil, runs in Deliver just before the welcome
+// is sent. Tests use it to widen the window between a registration and
+// its welcome.
+var beforeWelcome func(id int)
+
 // ServerConfig configures a federation server.
 type ServerConfig struct {
 	// Addr is the listen address, e.g. ":7070". Ignored by
@@ -247,6 +252,7 @@ type Server struct {
 	closing   bool                // shutdown underway: reject new registrations
 	dead      bool                // Kill() called: crash simulation, no farewells
 	nextRound int                 // round a client registering now will join (under mu)
+	welcoming int                 // pending clients whose welcome is not yet sent (under mu)
 	acceptErr error               // terminal listener failure
 
 	evictedBytes int64 // uplink bytes from already-closed conns (under mu)
@@ -435,7 +441,7 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 
 	res := &ServerResult{ResumedFrom: -1}
-	planner := newServerSelector(s.cfg.Cfg)
+	planner := s.newPlanner()
 	startRound := 0
 	if s.cfg.Resume && s.cfg.CheckpointDir != "" {
 		snap, err := s.loadCheckpoint(len(global))
@@ -447,10 +453,7 @@ func (s *Server) Run() (*ServerResult, error) {
 			startRound = snap.CompletedRound + 1
 			copy(global, snap.Global)
 			copy(globalDelta, snap.GlobalDelta)
-			planner.lastSel = snap.SelectorLastSel
-			if planner.lastSel == nil {
-				planner.lastSel = map[int]int{}
-			}
+			planner.LastSel = snap.SelectorLastSel
 			res.Rounds = snap.History
 			res.BytesReceived = snap.BytesReceived
 			res.Evictions = snap.Evictions
@@ -552,7 +555,7 @@ func (s *Server) Run() (*ServerResult, error) {
 		res.QuarantinesDropped = s.quarantinesDropped
 		if s.cfg.CheckpointDir != "" {
 			ckptStart := time.Now()
-			size, err := s.saveCheckpoint(round, global, globalDelta, planner, res)
+			size, err := s.saveCheckpoint(round, global, globalDelta, planner.LastSel, res)
 			if err != nil {
 				s.cfg.Logf("server: checkpoint after round %d failed (continuing): %v", round+1, err)
 			} else {
@@ -575,6 +578,25 @@ func (s *Server) Run() (*ServerResult, error) {
 	}
 	s.shutdown(fmt.Sprintf("done: %d rounds, final acc %.3f", len(res.Rounds), res.FinalAcc))
 	return res, nil
+}
+
+// newPlanner builds the session's selection planner from the server
+// config: the AdaFL configuration, the scenario's availability gate,
+// battery score multiplier and bandwidth multiplier, and the codec
+// negotiator. The planner keeps no metrics of its own; runRound records
+// the session-labelled ones.
+func (s *Server) newPlanner() *core.SyncPlanner {
+	p := core.NewSyncPlanner(s.cfg.Cfg)
+	p.Negotiator = s.neg
+	if sc := s.cfg.Scenario; sc != nil {
+		p.Eligible = sc.Available
+		p.ScoreMult = sc.ScoreMult
+		p.BandwidthMult = func(id, round int) float64 {
+			up, _ := sc.LinkBandwidth(id, round, 1, 1)
+			return up
+		}
+	}
+	return p
 }
 
 // Kill simulates a server crash for restart testing: the listener and
@@ -690,28 +712,37 @@ func (s *Server) Deliver(conn *Conn, hello *Envelope) error {
 		s.met.reconnects.Inc()
 	}
 	s.seen[id] = true
+	s.welcoming++
 	next := s.nextRound
 	s.cfg.Logf("server: client %d registered (%d samples), joins at round %d", id, hello.NumSamples, next+1)
-	s.cond.Broadcast()
 	s.mu.Unlock()
 
 	// Welcome outside the lock: a stalled peer must not block round
 	// machinery that needs s.mu. Round tells a redialling client it is
-	// joining a resumed/in-progress session, not round 0.
+	// joining a resumed/in-progress session, not round 0. admitPending
+	// waits for this send, so no round message can overtake the welcome.
+	if beforeWelcome != nil {
+		beforeWelcome(id)
+	}
 	conn.SetWriteDeadline(time.Now().Add(helloTimeout))
-	if err := conn.Send(&Envelope{Type: MsgWelcome, Round: next}); err != nil {
-		s.mu.Lock()
+	err := conn.Send(&Envelope{Type: MsgWelcome, Round: next})
+	conn.SetWriteDeadline(time.Time{})
+	s.mu.Lock()
+	s.welcoming--
+	if err != nil {
 		if c, ok := s.pending[id]; ok && c.conn == conn {
 			delete(s.pending, id)
-			s.met.connections.Add(-1)
+			if !s.dead { // after Kill the gauge is already forced to 0
+				s.met.connections.Add(-1)
+			}
 		}
-		s.mu.Unlock()
-		// If admitPending already moved it to the roster, the dead link
-		// surfaces at the next phase and the normal eviction path runs.
+	}
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	if err != nil {
 		conn.Close()
 		return fmt.Errorf("rpc: welcome client %d: %w", id, err)
 	}
-	conn.SetWriteDeadline(time.Time{})
 	return nil
 }
 
@@ -731,9 +762,15 @@ func (s *Server) waitForQuorum() error {
 
 // admitPending moves registered clients into the live roster at a round
 // boundary, the only point where the lockstep protocol can take them.
+// It first waits out welcomes still in flight (each is bounded by the
+// hello timeout), so a client that registered before the boundary joins
+// this round with its welcome already delivered.
 func (s *Server) admitPending(round int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for s.welcoming > 0 && !s.dead {
+		s.cond.Wait()
+	}
 	s.nextRound = round + 1 // registrations from here on join the next round
 	for id, c := range s.pending {
 		delete(s.pending, id)
@@ -824,7 +861,7 @@ func (s *Server) recvTimed(c *clientConn) (*Envelope, error) {
 // never fails the session: clients that error or dawdle are evicted and
 // the round aggregates whatever arrived in time (Received may be smaller
 // than Selected).
-func (s *Server) runRound(round int, sel *serverSelector, model *nn.Model,
+func (s *Server) runRound(round int, planner *core.SyncPlanner, model *nn.Model,
 	global, globalDelta []float64) RoundRecord {
 	rec := RoundRecord{Round: round, TestAcc: nan()}
 	roundStart := time.Now()
@@ -883,58 +920,31 @@ func (s *Server) runRound(round int, sel *serverSelector, model *nn.Model,
 	}
 	s.met.scoreSec.Observe(time.Since(roundStart).Seconds())
 
-	// Scenario gate: clients the scenario has offline this round cannot
-	// be selected (they stay connected and receive a ratio-0 select, the
-	// protocol's existing not-selected path), and battery level scales
-	// the remaining scores so low-battery clients are deprioritised.
-	if sc := s.cfg.Scenario; sc != nil {
-		for id := range scores {
-			if !sc.Available(id) {
-				delete(scores, id)
-				continue
-			}
-			scores[id] *= sc.ScoreMult(id)
-		}
-	}
-
-	// Negotiation feedback: a client whose last assignment compressed at
-	// the deep end of the range ranks higher, so cheap-to-upload clients
-	// win ties in Algorithm 1.
-	if s.neg != nil {
-		for id := range scores {
-			scores[id] *= s.neg.ScoreMult(id)
-		}
-	}
-
 	// Phase 3+4: selection, then concurrent notify + update collection.
-	plan := sel.plan(round, scores)
+	// The shared planner applies the scenario gate (offline clients stay
+	// connected and receive a ratio-0 select, the protocol's existing
+	// not-selected path), the battery and negotiation score multipliers,
+	// Algorithm 1 and the codec negotiation; scores is left holding the
+	// gated, scaled candidates it ranked.
+	parts, assigns := planner.PlanScores(round, scores, tensor.Norm2(globalDelta) == 0)
+	plan := make(map[int]float64, len(parts))
+	for _, pt := range parts {
+		plan[pt.Client] = pt.Ratio
+		s.met.ratios.Observe(pt.Ratio)
+	}
 	rec.Selected = len(plan)
 	for _, score := range scores {
 		s.met.scores.Observe(score)
 	}
-	for _, ratio := range plan {
-		s.met.ratios.Observe(ratio)
-	}
-	var assigns map[int]core.CodecAssignment
-	if s.neg != nil {
-		var bw func(int) float64
-		if sc := s.cfg.Scenario; sc != nil {
-			bw = func(id int) float64 {
-				up, _ := sc.LinkBandwidth(id, round, 1, 1)
-				return up
-			}
+	for _, a := range assigns {
+		if a.Codec == core.CodecDAdaQuant {
+			s.met.codecDAda.Inc()
+		} else {
+			s.met.codecDGC.Inc()
 		}
-		assigns = s.neg.Assign(round, plan, bw)
-		for _, a := range assigns {
-			if a.Codec == core.CodecDAdaQuant {
-				s.met.codecDAda.Inc()
-			} else {
-				s.met.codecDGC.Inc()
-			}
-			s.met.negRatios.Observe(a.Ratio)
-		}
-		s.logAssignments(round, assigns)
+		s.met.negRatios.Observe(a.Ratio)
 	}
+	s.logAssignments(round, assigns)
 	s.cfg.Events.Emit(obs.Event{Type: "selection", Round: round, Client: -1, Scores: scores, Ratios: plan})
 	updatePhaseStart := time.Now()
 	type updRes struct {
@@ -1198,11 +1208,7 @@ func (s *Server) checkpointPath() string {
 }
 
 func (s *Server) saveCheckpoint(round int, global, globalDelta []float64,
-	planner *serverSelector, res *ServerResult) (int64, error) {
-	lastSel := make(map[int]int, len(planner.lastSel))
-	for id, r := range planner.lastSel {
-		lastSel[id] = r
-	}
+	lastSel map[int]int, res *ServerResult) (int64, error) {
 	var treeState *shard.TreeState
 	if s.tree != nil {
 		treeState = s.tree.Snapshot()
@@ -1381,95 +1387,6 @@ func (s *Server) loadCheckpoint(dim int) (*sessionSnapshot, error) {
 			snap.NumClients, snap.Rounds, s.cfg.NumClients, s.cfg.Rounds)
 	}
 	return snap, nil
-}
-
-// serverSelector applies Algorithm 1 + the fairness reservation over
-// scores reported by remote clients. Client IDs are treated as an opaque
-// sparse set — after evictions and re-joins they are not dense 0..n-1.
-type serverSelector struct {
-	cfg     core.Config
-	lastSel map[int]int // client id -> last round it was selected
-}
-
-func newServerSelector(cfg core.Config) *serverSelector {
-	return &serverSelector{cfg: cfg, lastSel: map[int]int{}}
-}
-
-func (s *serverSelector) last(id int) int {
-	if r, ok := s.lastSel[id]; ok {
-		return r
-	}
-	return -1
-}
-
-// plan maps selected client id → compression ratio.
-func (s *serverSelector) plan(round int, scores map[int]float64) map[int]float64 {
-	out := map[int]float64{}
-	if s.cfg.Compression.InWarmup(round) {
-		for id := range scores {
-			out[id] = s.cfg.Compression.WarmupRatio
-			s.lastSel[id] = round
-		}
-		return out
-	}
-	// Dense projection of the sparse id set, sorted for determinism.
-	ids := make([]int, 0, len(scores))
-	for id := range scores {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	vec := make([]float64, len(ids))
-	for i, id := range ids {
-		vec[i] = scores[id]
-	}
-	reserve := int(0.5 + s.cfg.ExploreFrac*float64(s.cfg.K))
-	if reserve > s.cfg.K {
-		reserve = s.cfg.K
-	}
-	var selected []core.ScoredClient
-	if kTop := s.cfg.K - reserve; kTop >= 1 {
-		selected = core.SelectClients(vec, kTop, s.cfg.Tau)
-	}
-	chosen := map[int]bool{} // dense index into ids
-	for _, sc := range selected {
-		chosen[sc.Client] = true
-	}
-	// Fairness reservation: fill the remaining slots with the clients
-	// selected least recently.
-	for slot := 0; slot < reserve && len(selected) < len(ids); slot++ {
-		best := -1
-		for i := range ids {
-			if chosen[i] {
-				continue
-			}
-			if best == -1 || s.last(ids[i]) < s.last(ids[best]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		chosen[best] = true
-		selected = append(selected, core.ScoredClient{Client: best, Score: vec[best]})
-	}
-	for rank, sc := range selected {
-		id := ids[sc.Client]
-		out[id] = s.cfg.Compression.RatioForRank(rank, len(selected), round)
-		s.lastSel[id] = round
-	}
-	// Fallback: with no fairness reservation (ExploreFrac 0) and every
-	// score below τ, Algorithm 1 selects nobody. A zero-participant round
-	// would burn a round of the budget without moving the model (and any
-	// engine dividing by the participant weight sum would see 0/0), so
-	// fall back to warm-up-style full participation at the warm-up ratio
-	// — the same defined behaviour the session starts with.
-	if len(out) == 0 {
-		for id := range scores {
-			out[id] = s.cfg.Compression.WarmupRatio
-			s.lastSel[id] = round
-		}
-	}
-	return out
 }
 
 func nan() float64 { return math.NaN() }

@@ -114,11 +114,13 @@ type AsyncResult struct {
 
 // arrival is one MsgAsyncPush handed from a connection goroutine to the
 // engine. The delta is freshly allocated (conn.Recv, not the scratch
-// path), so it survives the channel crossing.
+// path), so it survives the channel crossing. The engine signals done
+// once the push is folded (and applied, if it filled the buffer).
 type arrival struct {
 	client int
 	base   int // model version the delta was trained from
 	delta  *compress.Sparse
+	done   chan<- struct{}
 }
 
 // AsyncSession is the buffered-asynchronous engine. Construction
@@ -379,6 +381,7 @@ func (a *AsyncSession) removeConn(id int, conn *rpc.Conn) {
 // engine stops.
 func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
 	defer a.wg.Done()
+	folded := make(chan struct{}, 1)
 	defer conn.Close()
 	defer a.removeConn(id, conn)
 	for {
@@ -400,8 +403,17 @@ func (a *AsyncSession) serve(id int, conn *rpc.Conn) {
 				a.cfg.Logf("session %q: client %d push without update", a.cfg.Name, id)
 				return
 			}
+			// Wait for the fold before reading this client's next message:
+			// the pull a client sends after its push must see the model
+			// that push produced, or a lone client's trajectory would
+			// depend on which goroutine ran first.
 			select {
-			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update}:
+			case a.arrivals <- arrival{client: id, base: e.Round, delta: e.Update, done: folded}:
+			case <-a.stopped:
+				return
+			}
+			select {
+			case <-folded:
 			case <-a.stopped:
 				return
 			}
@@ -454,6 +466,7 @@ func (a *AsyncSession) Run() (*AsyncResult, error) {
 			return res, ErrKilled
 		case arr := <-a.arrivals:
 			a.fold(arr)
+			arr.done <- struct{}{}
 		}
 	}
 	close(a.stopped)
