@@ -41,11 +41,12 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/rpc/ ./internal/edge/
 
-# Short fuzzing smoke over the attack surfaces: corrupted/truncated gob
-# and binary wire streams and checkpoint snapshots must error, never
-# panic, and the sharded streaming aggregator must agree with the
-# reference fold under adversarial updates. CI-friendly 10s budgets;
-# raise -fuzztime locally for a deeper run.
+# Short fuzzing smoke over the attack surfaces: corrupted/truncated wire
+# frames and checkpoint snapshots must error, never panic (and the two
+# wire receive paths must agree frame by frame), and the sharded
+# streaming aggregator must agree with the reference fold under
+# adversarial updates. CI-friendly 10s budgets; raise -fuzztime locally
+# for a deeper run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpc/
@@ -55,7 +56,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario/
 
 # Coverage floors on the scenario engine and the models it composes, plus
-# the wire codecs, the sharded aggregation tree and the two-tier edge
+# the wire codec, the sharded aggregation tree and the two-tier edge
 # federation — the protocol/aggregation core every session rides on.
 # Floors sit a few points under current numbers to absorb benign drift.
 cover:
@@ -98,13 +99,12 @@ bench-train:
 	$(GO) test -run xxx -bench 'BenchmarkConv|BenchmarkDense' -benchtime 2s -benchmem ./internal/nn/
 	$(GO) test -run xxx -bench 'BenchmarkTrainRound|BenchmarkPaperCNNTrainBatch|BenchmarkDGCEncode431k|BenchmarkTopKSelect431k' -benchtime 2s -benchmem .
 
-# Wire-codec comparison: the zero-copy binary codec vs the gob baseline
-# at the micro level (bytes/op, allocs/op for sparse-update and full-model
-# frames) plus a bounded socket-fleet pair over unix sockets. BENCH_6.json
-# records the full 10k-client runs; this target is the CI-sized smoke.
+# Wire-codec microbenchmarks (bytes/op, allocs/op for sparse-update and
+# full-model frames) plus a bounded socket fleet over unix sockets.
+# BENCH_6.json records the full 10k-client runs and the comparison with
+# the retired gob codec; this target is the CI-sized smoke.
 bench-wire:
-	$(GO) test -run xxx -bench 'BenchmarkWire|BenchmarkGob' -benchtime 2s -benchmem ./internal/rpc/
-	$(GO) run ./cmd/flfleet -clients 1000 -rounds 3 -dim 20000 -nnz 1000 -fleet-addr unix:/tmp/flfleet-bench.sock -wire binary -json
-	$(GO) run ./cmd/flfleet -clients 1000 -rounds 3 -dim 20000 -nnz 1000 -fleet-addr unix:/tmp/flfleet-bench.sock -wire gob -json
+	$(GO) test -run xxx -bench 'BenchmarkWire' -benchtime 2s -benchmem ./internal/rpc/
+	$(GO) run ./cmd/flfleet -clients 1000 -rounds 3 -dim 20000 -nnz 1000 -fleet-addr unix:/tmp/flfleet-bench.sock -json
 
 bench: bench-gemm bench-train bench-wire

@@ -21,15 +21,15 @@ import (
 //	nnz × f64        values (plain), or ⌈nnz·bits/8⌉ packed sign+level
 //	                 integers (quantized; bits = QuantBitsFor(levels))
 //
-// Plain values travel as float64 so a binary session is bit-identical to a
-// gob session: the accounting layer (WireBytes) keeps charging float32 per
-// coordinate, matching the paper's 4-byte parameters, but the simulator's
-// arithmetic must not change with the codec. Quantized values are packed
+// Plain values travel as float64 so crossing the wire never changes the
+// arithmetic: the accounting layer (WireBytes) keeps charging float32 per
+// coordinate, matching the paper's 4-byte parameters, but the decoded
+// values are the sent ones bit for bit. Quantized values are packed
 // losslessly because every quantized value is exactly sign·norm·l/s (the
 // Sparse.QuantLevels contract): the decoder recomputes the identical
-// float64 expression the codecs use, so binary and gob sessions stay
-// bit-identical for quantized codecs too — while the frame actually
-// shrinks to the packed size WireBytes has always charged. The layout is
+// float64 expression the codecs use, so quantized payloads also arrive
+// bit-identical — while the frame actually shrinks to the packed size
+// WireBytes has always charged. The layout is
 // owned here so internal/rpc (the envelope codec) and any future mmap'd
 // spill format agree on it.
 

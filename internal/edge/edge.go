@@ -41,9 +41,6 @@ type EdgeConfig struct {
 	Region string
 	// Dim is the model dimension every folded update must declare.
 	Dim int
-	// Wire selects the codec for both the root dial and accepted client
-	// connections ("" = binary with gob fallback).
-	Wire string
 	// MaxUpdateNorm configures the shared integrity screen (0 disables
 	// the norm gate; structural validation and scrubbing are always on).
 	MaxUpdateNorm float64
@@ -236,7 +233,7 @@ func (e *Edge) Run() (*EdgeResult, error) {
 // serveRoot runs one root connection: hello, heartbeats, rounds, until
 // shutdown (done) or a link error.
 func (e *Edge) serveRoot(part *shard.Partial) (done, progressed bool, err error) {
-	conn, err := rpc.Dial("tcp", e.cfg.RootAddr, e.cfg.Wire, e.cfg.DialTimeout)
+	conn, err := rpc.Dial("tcp", e.cfg.RootAddr, "", e.cfg.DialTimeout)
 	if err != nil {
 		return false, false, err
 	}
@@ -425,7 +422,7 @@ func (e *Edge) runRound(root *rpc.Conn, round int, part *shard.Partial) error {
 	return nil
 }
 
-// acceptLoop admits clients: negotiate the codec, read the hello,
+// acceptLoop admits clients: pass the version gate, read the hello,
 // register. A re-hello of a live ID replaces the old connection.
 func (e *Edge) acceptLoop() {
 	for {
@@ -439,7 +436,7 @@ func (e *Edge) acceptLoop() {
 
 func (e *Edge) admit(raw net.Conn) {
 	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	conn, err := rpc.Accept(raw, e.cfg.Wire)
+	conn, err := rpc.Accept(raw, "")
 	if err != nil {
 		raw.Close()
 		return

@@ -45,9 +45,6 @@ type RootConfig struct {
 	// Rounds is the session length; Dim the model dimension.
 	Rounds int
 	Dim    int
-	// Wire selects the codec for both listeners ("" = binary with gob
-	// fallback).
-	Wire string
 	// HeartbeatTimeout is the silence window after which a registered
 	// edge is declared dead (0 = 2s). PartialTimeout bounds the per-round
 	// collect (0 = 60s). QuorumTimeout bounds the initial registration
@@ -862,12 +859,12 @@ func (r *Root) acceptLoop(ln net.Listener, admit func(net.Conn)) {
 	}
 }
 
-// admitEdge handles one edge registration: negotiate, read the edge
+// admitEdge handles one edge registration: version gate, read the edge
 // hello, install (or replace) the roster entry, welcome, spawn the
 // reader. Unknown edges (post-plan) and roster overflow are turned away.
 func (r *Root) admitEdge(raw net.Conn) {
 	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	conn, err := rpc.Accept(raw, r.cfg.Wire)
+	conn, err := rpc.Accept(raw, "")
 	if err != nil {
 		raw.Close()
 		return
@@ -1003,7 +1000,7 @@ func (r *Root) watchdog() {
 // path and learn their new edge.
 func (r *Root) admitClient(raw net.Conn) {
 	raw.SetDeadline(time.Now().Add(5 * time.Second))
-	conn, err := rpc.Accept(raw, r.cfg.Wire)
+	conn, err := rpc.Accept(raw, "")
 	if err != nil {
 		raw.Close()
 		return

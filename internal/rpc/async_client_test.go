@@ -173,11 +173,11 @@ func TestManagedServerHasNoListener(t *testing.T) {
 	}
 }
 
-// TestDialNegotiatesAndRejects covers the exported Dial helper: binary
-// negotiation against a sniffing acceptor, forced gob, and the unknown-
-// codec refusal.
+// TestDialNegotiatesAndRejects covers the exported Dial helper: the
+// version gate against Accept, and the refusal of any Wire value but ""
+// and WireBinary — "gob" included, with an error that names the removal.
 func TestDialNegotiatesAndRejects(t *testing.T) {
-	for _, wire := range []string{WireBinary, WireGob} {
+	for _, wire := range []string{"", WireBinary} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -204,17 +204,17 @@ func TestDialNegotiatesAndRejects(t *testing.T) {
 		}()
 		conn, err := Dial("tcp", ln.Addr().String(), wire, time.Second)
 		if err != nil {
-			t.Fatalf("Dial %s: %v", wire, err)
+			t.Fatalf("Dial %q: %v", wire, err)
 		}
 		if err := conn.Send(&Envelope{Type: MsgPing, Round: 3}); err != nil {
-			t.Fatalf("send over %s: %v", wire, err)
+			t.Fatalf("send over %q: %v", wire, err)
 		}
 		e, err := conn.Recv()
 		if err != nil || e.Type != MsgPing || e.Round != 3 {
-			t.Fatalf("echo over %s: %+v, %v", wire, e, err)
+			t.Fatalf("echo over %q: %+v, %v", wire, e, err)
 		}
 		if err := <-echoed; err != nil {
-			t.Fatalf("server side %s: %v", wire, err)
+			t.Fatalf("server side %q: %v", wire, err)
 		}
 		conn.Close()
 		ln.Close()
@@ -222,5 +222,9 @@ func TestDialNegotiatesAndRejects(t *testing.T) {
 	if _, err := Dial("tcp", "127.0.0.1:1", "carrier-pigeon", time.Second); err == nil ||
 		!strings.Contains(err.Error(), "unknown wire codec") {
 		t.Fatalf("unknown codec: %v", err)
+	}
+	if _, err := Dial("tcp", "127.0.0.1:1", "gob", time.Second); err == nil ||
+		!strings.Contains(err.Error(), "gob codec was removed") {
+		t.Fatalf("gob codec: %v", err)
 	}
 }

@@ -86,10 +86,9 @@ type ClientConfig struct {
 	// faults (chaos testing and demos).
 	Fault *FaultConfig
 
-	// Wire selects the wire codec: "" or WireBinary requests the binary
-	// codec at connect time and falls back to gob when the server
-	// declines (one extra dial, not charged against MaxRetries); WireGob
-	// skips negotiation and speaks gob directly.
+	// Wire accepts only "" or WireBinary. Binary framing is the only wire
+	// codec; any other value, "gob" included, is a configuration error
+	// that names the removal (see CheckWire).
 	Wire string
 
 	// Metrics, when non-nil, receives the client's operational metrics
@@ -122,8 +121,8 @@ func RunClient(cfg ClientConfig) (*ClientResult, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
 	}
-	if cfg.Wire != "" && cfg.Wire != WireBinary && cfg.Wire != WireGob {
-		return nil, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", cfg.Wire, WireBinary, WireGob)
+	if err := CheckWire(cfg.Wire); err != nil {
+		return nil, err
 	}
 	sess, err := newClientSession(cfg)
 	if err != nil {
@@ -186,9 +185,6 @@ type clientSession struct {
 	pending rollbackCodec
 	res     *ClientResult
 	met     clientMetrics
-	// gobOnly is sticky across reconnects: once the server declines the
-	// binary preamble there is no point renegotiating on every redial.
-	gobOnly bool
 }
 
 // newUplinkCodec builds the named default codec. The stochastic codecs
@@ -233,14 +229,13 @@ func newClientSession(cfg ClientConfig) (*clientSession, error) {
 		return nil, err
 	}
 	s := &clientSession{
-		cfg:     cfg,
-		model:   cfg.NewModel(),
-		opt:     nn.NewSGD(cfg.LR, cfg.Momentum, 0),
-		iter:    dataset.NewIterator(cfg.Data, cfg.BatchSize, stats.NewRNG(cfg.Seed)),
-		codec:   codec,
-		res:     &ClientResult{},
-		met:     newClientMetrics(cfg.Metrics),
-		gobOnly: cfg.Wire == WireGob,
+		cfg:   cfg,
+		model: cfg.NewModel(),
+		opt:   nn.NewSGD(cfg.LR, cfg.Momentum, 0),
+		iter:  dataset.NewIterator(cfg.Data, cfg.BatchSize, stats.NewRNG(cfg.Seed)),
+		codec: codec,
+		res:   &ClientResult{},
+		met:   newClientMetrics(cfg.Metrics),
 	}
 	if d, ok := codec.(*compress.DGC); ok {
 		s.dgc = d
@@ -289,11 +284,9 @@ func (s *clientSession) rollbackPending() {
 	}
 }
 
-// dial establishes a connection in the session's negotiated codec. A
-// declined binary preamble costs one immediate gob redial (the server
-// consumed the preamble as a corrupt gob stream and dropped us) and
-// downgrades the session; it is not counted against the retry budget —
-// the server is alive and answering, just older.
+// dial connects and passes the version gate. A failed handshake is a
+// failed dial: an I/O error goes through the caller's retry budget and
+// backoff like any other, a mismatched acknowledgement is errProtocol.
 func (s *clientSession) dial() (*Conn, error) {
 	cfg := s.cfg
 	var throttle *TokenBucket
@@ -305,17 +298,9 @@ func (s *clientSession) dial() (*Conn, error) {
 		return nil, err
 	}
 	wrapped := WrapFault(raw, cfg.Fault)
-	if !s.gobOnly {
-		if clientNegotiate(wrapped, cfg.DialTimeout) {
-			return NewBinaryConn(wrapped, throttle), nil
-		}
+	if err := clientHandshake(wrapped, cfg.DialTimeout); err != nil {
 		wrapped.Close()
-		s.gobOnly = true
-		cfg.Logf("client %d: server declined binary wire codec, falling back to gob", cfg.ID)
-		if raw, err = net.DialTimeout("tcp", cfg.Addr, cfg.DialTimeout); err != nil {
-			return nil, err
-		}
-		wrapped = WrapFault(raw, cfg.Fault)
+		return nil, err
 	}
 	return NewConn(wrapped, throttle), nil
 }

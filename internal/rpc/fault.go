@@ -29,8 +29,8 @@ type FaultConfig struct {
 	// emulating an abrupt device death or hard link loss.
 	DropProb float64
 	// CutAfterBytes hard-closes the connection once this many bytes have
-	// been written — usually mid-message, leaving the peer a truncated gob
-	// stream (0 = never).
+	// been written — usually mid-message, leaving the peer a truncated
+	// frame (0 = never).
 	CutAfterBytes int64
 	// Partition, when non-nil, black-holes reads and writes while shut.
 	// Toggle it with Gate.Shut/Gate.Open to model partitions that start
@@ -38,6 +38,10 @@ type FaultConfig struct {
 	Partition *Gate
 	// Seed drives the injection RNG (jitter and drop decisions).
 	Seed uint64
+
+	// dials counts the connections wrapped from this config; see
+	// WrapFault.
+	dials atomic.Uint64
 }
 
 // Active reports whether any fault is configured.
@@ -54,22 +58,22 @@ var (
 	ErrInjectedCut  = errors.New("rpc: fault injection: connection cut mid-stream")
 )
 
-// faultConnSeq distinguishes successive connections wrapped from the same
-// FaultConfig. Without it a reconnecting client would replay the exact
-// same fault sequence on every dial — a DropProb whose first draw says
-// "drop" would then kill every reconnect attempt on its first write,
-// turning a probabilistic fault into a deterministic death loop.
-var faultConnSeq atomic.Uint64
-
 // WrapFault layers fault injection under a connection. It returns raw
 // unchanged when no fault is configured, so the healthy path stays
 // wrapper-free.
+//
+// The n-th connection wrapped from f draws its faults from a seed
+// derived from (f.Seed, n) alone, so a schedule replays from its seed no
+// matter what other connections the process wraps. The index keeps
+// successive dials apart: without it a reconnecting client would replay
+// the same fault sequence on every dial — a DropProb whose first draw
+// says "drop" would kill every reconnect attempt on its first write.
 func WrapFault(raw net.Conn, f *FaultConfig) net.Conn {
 	if !f.Active() {
 		return raw
 	}
-	seed := f.Seed + faultConnSeq.Add(1)*0x9e3779b9
-	fc := &faultConn{Conn: raw, f: *f, rng: stats.NewRNG(seed), closed: make(chan struct{})}
+	seed := f.Seed + f.dials.Add(1)*0x9e3779b9
+	fc := &faultConn{Conn: raw, f: f, rng: stats.NewRNG(seed), closed: make(chan struct{})}
 	if f.Bandwidth > 0 {
 		fc.bucket = NewTokenBucket(f.Bandwidth)
 	}
@@ -81,7 +85,7 @@ func WrapFault(raw net.Conn, f *FaultConfig) net.Conn {
 // directions, honouring whatever deadline the caller armed.
 type faultConn struct {
 	net.Conn
-	f      FaultConfig
+	f      *FaultConfig
 	bucket *TokenBucket
 
 	mu      sync.Mutex // guards rng, written, dead

@@ -94,6 +94,50 @@ func TestFaultConnDropKillsConnection(t *testing.T) {
 	}
 }
 
+// TestFaultScheduleReplaysFromSeed: the n-th connection wrapped from a
+// FaultConfig draws its faults from (Seed, n) alone. Two configs with
+// equal seeds give identical drop sequences dial by dial, even with
+// unrelated WrapFault calls interleaved, while successive dials from one
+// config draw different schedules.
+func TestFaultScheduleReplaysFromSeed(t *testing.T) {
+	// firstDrop writes until the wrapped connection drops and returns the
+	// index of the dropped write (-1 if none of 64 writes dropped).
+	firstDrop := func(f *FaultConfig) int {
+		fc := WrapFault(&byteConn{}, f)
+		for i := 0; i < 64; i++ {
+			if _, err := fc.Write([]byte{0}); err != nil {
+				if !errors.Is(err, ErrInjectedDrop) {
+					t.Fatalf("write %d: %v", i, err)
+				}
+				return i
+			}
+		}
+		return -1
+	}
+	a := &FaultConfig{DropProb: 0.3, Seed: 6}
+	b := &FaultConfig{DropProb: 0.3, Seed: 6}
+	unrelated := &FaultConfig{DropProb: 0.5, Seed: 6}
+	var seqA, seqB []int
+	for dial := 0; dial < 8; dial++ {
+		seqA = append(seqA, firstDrop(a))
+		firstDrop(unrelated)
+		firstDrop(&FaultConfig{DropProb: 0.3, Seed: 6})
+		seqB = append(seqB, firstDrop(b))
+	}
+	for dial := range seqA {
+		if seqA[dial] != seqB[dial] {
+			t.Fatalf("equal seeds diverge at dial %d: %v vs %v", dial, seqA, seqB)
+		}
+	}
+	distinct := map[int]bool{}
+	for _, d := range seqA {
+		distinct[d] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("every dial drew the same schedule %v", seqA)
+	}
+}
+
 func TestGateToggle(t *testing.T) {
 	g := NewGate(true)
 	if !g.IsOpen() {

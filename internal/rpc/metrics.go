@@ -33,8 +33,7 @@ type serverMetrics struct {
 	selected      *obs.Gauge     // adafl_round_selected
 	received      *obs.Gauge     // adafl_round_received
 	connections   *obs.Gauge     // adafl_connections (open, registered client sockets)
-	wireBinary    *obs.Counter   // adafl_wire_messages_total{codec="binary"}
-	wireGob       *obs.Counter   // adafl_wire_messages_total{codec="gob"}
+	wireMessages  *obs.Counter   // adafl_wire_messages_total{codec="binary"}
 }
 
 // newServerMetrics resolves the server instrument set. A non-empty
@@ -67,18 +66,7 @@ func newServerMetrics(r *obs.Registry, session string) serverMetrics {
 		selected:      r.Gauge(l("adafl_round_selected")),
 		received:      r.Gauge(l("adafl_round_received")),
 		connections:   r.Gauge(l("adafl_connections")),
-		wireBinary:    r.Counter(l(`adafl_wire_messages_total{codec="binary"}`)),
-		wireGob:       r.Counter(l(`adafl_wire_messages_total{codec="gob"}`)),
-	}
-}
-
-// countWire attributes one received message to the connection's
-// negotiated codec, so a mixed fleet's gob-fallback share is visible.
-func (m *serverMetrics) countWire(c *Conn) {
-	if c.Codec() == WireBinary {
-		m.wireBinary.Inc()
-	} else {
-		m.wireGob.Inc()
+		wireMessages:  r.Counter(l(`adafl_wire_messages_total{codec="binary"}`)),
 	}
 }
 

@@ -32,11 +32,10 @@ func TestServerClientDisconnectEndsCleanly(t *testing.T) {
 		resCh <- res
 		errCh <- err
 	}()
-	raw, err := net.Dial("tcp", srv.Addr())
+	c, err := Dial("tcp", srv.Addr(), "", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewConn(raw, nil)
 	if err := c.Send(&Envelope{Type: MsgHello, ClientID: 0, NumSamples: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +73,11 @@ func TestServerRejectsDuplicateIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dial := func() *Conn {
-		raw, err := net.Dial("tcp", srv.Addr())
+		c, err := Dial("tcp", srv.Addr(), "", time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return NewConn(raw, nil)
+		return c
 	}
 	resCh := make(chan *ServerResult, 1)
 	go func() {
@@ -146,9 +145,9 @@ func TestClientRejectsUnexpectedMessage(t *testing.T) {
 		if err != nil {
 			return
 		}
-		// Negotiate like the real server so the default (binary-capable)
-		// client under test upgrades instead of stalling on the preamble.
-		conn, err := serverNegotiate(raw, true)
+		// Pass the version gate like the real server so the client under
+		// test gets as far as the protocol violation.
+		conn, err := Accept(raw, "")
 		if err != nil {
 			raw.Close()
 			return
@@ -217,11 +216,10 @@ func TestWelcomePrecedesFirstRound(t *testing.T) {
 		errCh <- err
 	}()
 	for id := 0; id < 2; id++ { // client 1's hello completes the quorum
-		raw, err := net.Dial("tcp", srv.Addr())
+		c, err := Dial("tcp", srv.Addr(), "", time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := NewConn(raw, nil)
 		defer c.Close()
 		if err := c.Send(&Envelope{Type: MsgHello, ClientID: id, NumSamples: 4}); err != nil {
 			t.Fatal(err)

@@ -148,11 +148,9 @@ type ServerConfig struct {
 	// summary, and checkpoint saves. The log is flushed (and fsynced)
 	// at every round boundary.
 	Events *obs.EventLog
-	// Wire selects the accepted wire codecs: "" or WireBinary sniffs each
-	// accepted connection and speaks whichever codec the client opened
-	// with (binary preamble or plain gob); WireGob declines binary
-	// preambles so every session runs the legacy gob path (binary-capable
-	// clients fall back automatically).
+	// Wire accepts only "" or WireBinary. Binary framing is the only wire
+	// codec; any other value, "gob" included, is a configuration error
+	// that names the removal (see CheckWire).
 	Wire string
 	// Scenario, when non-nil, overlays a declarative fleet scenario on
 	// the session: per-round availability (diurnal waves, correlated
@@ -335,8 +333,8 @@ func prepareConfig(cfg ServerConfig) (ServerConfig, error) {
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 1
 	}
-	if cfg.Wire != "" && cfg.Wire != WireBinary && cfg.Wire != WireGob {
-		return cfg, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", cfg.Wire, WireBinary, WireGob)
+	if err := CheckWire(cfg.Wire); err != nil {
+		return cfg, err
 	}
 	if cfg.CheckpointDir != "" {
 		// The atomic rename in checkpoint.Save needs the directory to
@@ -392,7 +390,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 }
 
 // NewManagedServer returns a server with no listener of its own: a
-// session.Manager multiplexing one socket across sessions negotiates and
+// session.Manager multiplexing one socket across sessions gates and
 // routes each accepted connection, then hands it in through Deliver.
 // cfg.Addr is ignored.
 func NewManagedServer(cfg ServerConfig) (*Server, error) {
@@ -654,11 +652,10 @@ func (s *Server) acceptLoop() {
 
 func (s *Server) handshake(raw net.Conn) {
 	wrapped := WrapFault(raw, s.cfg.Fault)
-	// Codec sniff under the hello deadline: a dialer that never speaks
-	// cannot pin this goroutine, and the first byte decides gob vs binary
-	// (see serverNegotiate).
+	// Version gate under the hello deadline: a dialer that never speaks
+	// (or stalls mid-preamble) cannot pin this goroutine.
 	wrapped.SetReadDeadline(time.Now().Add(helloTimeout))
-	conn, err := serverNegotiate(wrapped, s.cfg.Wire != WireGob)
+	conn, err := Accept(wrapped, "")
 	if err != nil {
 		wrapped.Close()
 		return
@@ -671,7 +668,7 @@ func (s *Server) handshake(raw net.Conn) {
 	s.Deliver(conn, hello)
 }
 
-// Deliver admits an already-negotiated connection whose hello has been
+// Deliver admits an already-accepted connection whose hello has been
 // read — the entry point a session.Manager uses after routing the
 // handshake itself (the server's own acceptLoop funnels through it too).
 // The hello envelope is only read during the call. A rejected connection
@@ -679,7 +676,7 @@ func (s *Server) handshake(raw net.Conn) {
 // client is registered and welcomed.
 func (s *Server) Deliver(conn *Conn, hello *Envelope) error {
 	id := hello.ClientID
-	s.met.countWire(conn)
+	s.met.wireMessages.Inc()
 	conn.SetReadDeadline(time.Time{})
 
 	s.mu.Lock()
@@ -853,7 +850,7 @@ func (s *Server) recvTimed(c *clientConn) (*Envelope, error) {
 	if err := c.conn.RecvInto(&c.env); err != nil {
 		return nil, err
 	}
-	s.met.countWire(c.conn)
+	s.met.wireMessages.Inc()
 	return &c.env, nil
 }
 

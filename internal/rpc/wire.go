@@ -11,8 +11,7 @@ import (
 	"adafl/internal/compress"
 )
 
-// Binary wire protocol (negotiated at connect time; gob is the fallback
-// so old peers interoperate — see DESIGN.md §Wire protocol):
+// Binary wire protocol, the only codec (see DESIGN.md §Wire protocol):
 //
 //	frame    := u32 LE payload-length | payload
 //	payload  := u8 type | u8 flags(0) | i32 LE clientID | i32 LE round | body
@@ -38,34 +37,36 @@ import (
 // The length prefix excludes its own 4 bytes. Explicit framing is what
 // makes receive-side accounting exact: a Conn reads exactly 4+len bytes
 // per message, never a block of read-ahead, so the bytes{dir} counters
-// and the per-message size cap have no gob-bufio slack (the caveat the
-// gob path documents in protocol.go).
+// and the per-message size cap are exact.
 //
-// Negotiation: a binary-capable client opens with the 4-byte preamble
-// {0xAD, 0xF1, 0x77, version}. A gob stream can never begin with 0xAD
-// (gob's first byte is a message byte count: < 0x80 for small counts or
-// >= 0xF8 for the negated-length marker), so the server distinguishes the
-// codecs from the first byte alone. A binary-accepting server consumes
-// the preamble and echoes it as the acknowledgement; a gob-only server
-// (or a pre-binary build) treats the preamble as a corrupt gob stream and
-// drops the connection, and the client redials speaking plain gob.
+// Version gate: the client opens every connection with the 4-byte
+// preamble {0xAD, 0xF1, 0x77, version} and the server echoes it back
+// before the first frame. A server that reads anything else within its
+// hello deadline closes the connection; a client that reads back anything
+// else fails with a protocol error and does not retry.
 
-// Wire codec names (ClientConfig.Wire / ServerConfig.Wire / -wire flag).
-const (
-	WireBinary = "binary"
-	WireGob    = "gob"
-)
+// WireBinary names the binary codec. The Wire settings
+// (ServerConfig.Wire, ClientConfig.Wire, session.Config.Wire and the wire
+// parameter of Accept/Dial) accept only "" or WireBinary; see CheckWire.
+const WireBinary = "binary"
 
-const (
-	wireMagic0  = 0xAD
-	wireMagic1  = 0xF1
-	wireMagic2  = 0x77
-	wireVersion = 1
-)
+// CheckWire validates a Wire setting. Binary framing is the only wire
+// codec, so "" and WireBinary are accepted and anything else — "gob"
+// included — is a configuration error that says the gob codec was
+// removed.
+func CheckWire(wire string) error {
+	if wire == "" || wire == WireBinary {
+		return nil
+	}
+	return fmt.Errorf("rpc: unknown wire codec %q: the gob codec was removed, binary framing is the only wire codec (want \"\" or %q)", wire, WireBinary)
+}
 
-// wirePreamble is the client's codec-upgrade request and, echoed back,
+// wireVersion is the binary codec's version: the preamble's last byte.
+const wireVersion = 1
+
+// wirePreamble is the client's version announcement and, echoed back,
 // the server's acknowledgement.
-var wirePreamble = [4]byte{wireMagic0, wireMagic1, wireMagic2, wireVersion}
+var wirePreamble = [4]byte{0xAD, 0xF1, 0x77, wireVersion}
 
 // envHeaderBytes is the fixed payload prefix: type, flags, clientID, round.
 const envHeaderBytes = 10
@@ -76,7 +77,7 @@ const envHeaderBytes = 10
 // steady-state memory at a few KB even when broadcasting multi-MB models.
 const wireChunkBytes = 4096
 
-// defaultWireBufSize is the send-side bufio buffer of a binary Conn.
+// defaultWireBufSize is the send-side bufio buffer of a Conn.
 const defaultWireBufSize = 32 << 10
 
 // errWireFrame marks structurally invalid binary frames (truncation,
@@ -457,7 +458,7 @@ func needN(t MsgType, rest []byte, want int64) error {
 }
 
 // makeF64s returns a length-n slice, reusing buf's capacity when it
-// suffices. n == 0 preserves nil-ness so binary and gob decodes agree.
+// suffices. n == 0 decodes as nil.
 func makeF64s(buf []float64, n int) []float64 {
 	if n == 0 {
 		return nil
@@ -474,72 +475,60 @@ func readF64s(dst []float64, src []byte) {
 	}
 }
 
-// clientNegotiate requests the binary codec on a freshly dialed
-// connection: preamble out, acknowledgement back. false means the peer
-// declined (a gob-only or pre-binary server has, by then, consumed the
-// preamble as a corrupt gob stream and dropped the connection), and the
-// caller must redial speaking gob.
-func clientNegotiate(raw net.Conn, timeout time.Duration) bool {
+// clientHandshake passes the version gate on a freshly dialed
+// connection: preamble out, exact echo back. An I/O error is an ordinary
+// dial failure the caller may retry; a complete acknowledgement that is
+// not the preamble is errProtocol — that server speaks another wire
+// version, and redialling cannot change that.
+func clientHandshake(raw net.Conn, timeout time.Duration) error {
 	if timeout > 0 {
 		raw.SetDeadline(time.Now().Add(timeout))
 		defer raw.SetDeadline(time.Time{})
 	}
 	if _, err := raw.Write(wirePreamble[:]); err != nil {
-		return false
+		return fmt.Errorf("rpc: send wire preamble: %w", err)
 	}
 	var ack [4]byte
 	if _, err := io.ReadFull(raw, ack[:]); err != nil {
-		return false
+		return fmt.Errorf("rpc: read wire preamble ack: %w", err)
 	}
-	return ack == wirePreamble
+	if ack != wirePreamble {
+		return fmt.Errorf("rpc: server acknowledged wire preamble %x, want %x: %w", ack, wirePreamble, errProtocol)
+	}
+	return nil
 }
 
-// serverNegotiate sniffs a freshly accepted connection and returns a Conn
-// speaking the codec the client opened with. The first byte alone decides:
-// 0xAD can only start a binary preamble (never a gob stream), anything
-// else is replayed into a gob decoder. acceptBinary=false (Wire="gob")
-// declines preambles by feeding them to gob — the resulting decode error
-// closes the connection and the client falls back.
-func serverNegotiate(raw net.Conn, acceptBinary bool) (*Conn, error) {
-	var first [1]byte
-	if _, err := io.ReadFull(raw, first[:]); err != nil {
+// Accept passes the version gate on a freshly accepted connection and
+// returns it wrapped in the binary codec: it reads the client's 4-byte
+// preamble and echoes it. Anything other than the preamble is an error,
+// and the caller closes the connection. The caller arms the read deadline
+// that bounds the wait (the hello deadline). wire accepts only "" or
+// WireBinary (see CheckWire). This is the handshake the federation server
+// applies per connection, exported for the session manager and the edge
+// tier's listeners.
+func Accept(raw net.Conn, wire string) (*Conn, error) {
+	if err := CheckWire(wire); err != nil {
 		return nil, err
 	}
-	if first[0] != wireMagic0 || !acceptBinary {
-		return NewConn(&prefixConn{Conn: raw, prefix: first[:]}, nil), nil
-	}
-	var rest [3]byte
-	if _, err := io.ReadFull(raw, rest[:]); err != nil {
+	var pre [4]byte
+	if _, err := io.ReadFull(raw, pre[:]); err != nil {
 		return nil, err
 	}
-	if rest != [3]byte{wireMagic1, wireMagic2, wireVersion} {
-		// Unknown preamble version (or garbage): decline by dropping the
-		// connection; the client's fallback redial speaks plain gob.
-		return nil, fmt.Errorf("rpc: unsupported wire preamble %x%x", first, rest)
+	if pre != wirePreamble {
+		return nil, fmt.Errorf("rpc: unsupported wire preamble %x", pre)
 	}
 	if _, err := raw.Write(wirePreamble[:]); err != nil {
 		return nil, err
 	}
-	return NewBinaryConn(raw, nil), nil
+	return NewConn(raw, nil), nil
 }
 
-// Accept negotiates the codec on a freshly accepted connection under the
-// server-side wire policy: "" or WireBinary sniffs the client's opening
-// byte and speaks whichever codec it opened with; WireGob declines binary
-// preambles so the session runs gob. This is the handshake the federation
-// server applies per connection, exported for the edge tier's listeners.
-func Accept(raw net.Conn, wire string) (*Conn, error) {
-	return serverNegotiate(raw, wire != WireGob)
-}
-
-// Dial connects to network/addr and negotiates the codec the way
-// RunClient's dial path does: "" or WireBinary requests the binary codec
-// and redials speaking gob when the peer declines (the peer consumed the
-// preamble as a corrupt gob stream and dropped the connection); WireGob
-// skips negotiation. timeout bounds each dial attempt (0 means 10s).
+// Dial connects to network/addr and passes the version gate the way
+// RunClient's dial path does. wire accepts only "" or WireBinary (see
+// CheckWire). timeout bounds the dial and the handshake (0 means 10s).
 func Dial(network, addr, wire string, timeout time.Duration) (*Conn, error) {
-	if wire != "" && wire != WireBinary && wire != WireGob {
-		return nil, fmt.Errorf("rpc: unknown wire codec %q (want %q or %q)", wire, WireBinary, WireGob)
+	if err := CheckWire(wire); err != nil {
+		return nil, err
 	}
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -548,29 +537,9 @@ func Dial(network, addr, wire string, timeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if wire != WireGob {
-		if clientNegotiate(raw, timeout) {
-			return NewBinaryConn(raw, nil), nil
-		}
+	if err := clientHandshake(raw, timeout); err != nil {
 		raw.Close()
-		if raw, err = net.DialTimeout(network, addr, timeout); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	return NewConn(raw, nil), nil
-}
-
-// prefixConn replays sniffed bytes ahead of the wrapped connection.
-type prefixConn struct {
-	net.Conn
-	prefix []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.prefix) > 0 {
-		n := copy(b, p.prefix)
-		p.prefix = p.prefix[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
 }

@@ -1,13 +1,10 @@
 package rpc
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
-// Codec microbenchmarks: binary vs gob on the two hot-path messages (a
-// sparse client update and a dense model broadcast), both directions.
-// `make bench-wire` runs these and folds the numbers into BENCH_6.json.
+// Codec microbenchmarks on the two hot-path messages (a sparse client
+// update and a dense model broadcast), both directions. `make bench-wire`
+// runs these; BENCH_6.json records them against the retired gob codec.
 
 func benchSend(b *testing.B, conn *Conn, e *Envelope) {
 	b.Helper()
@@ -27,20 +24,10 @@ func benchSend(b *testing.B, conn *Conn, e *Envelope) {
 
 func BenchmarkWireSendUpdate(b *testing.B) {
 	update, _ := allocEnvelopes()
-	benchSend(b, NewBinaryConn(&byteConn{}, nil), update)
-}
-
-func BenchmarkGobSendUpdate(b *testing.B) {
-	update, _ := allocEnvelopes()
 	benchSend(b, NewConn(&byteConn{}, nil), update)
 }
 
 func BenchmarkWireSendModel(b *testing.B) {
-	_, model := allocEnvelopes()
-	benchSend(b, NewBinaryConn(&byteConn{}, nil), model)
-}
-
-func BenchmarkGobSendModel(b *testing.B) {
 	_, model := allocEnvelopes()
 	benchSend(b, NewConn(&byteConn{}, nil), model)
 }
@@ -48,7 +35,7 @@ func BenchmarkGobSendModel(b *testing.B) {
 func BenchmarkWireRecvUpdate(b *testing.B) {
 	update, _ := allocEnvelopes()
 	raw := encodeBinaryEnvelope(b, update)
-	conn := NewBinaryConn(&byteConn{r: &repeatReader{data: raw}}, nil)
+	conn := NewConn(&byteConn{r: &repeatReader{data: raw}}, nil)
 	var env Envelope
 	if err := conn.RecvInto(&env); err != nil {
 		b.Fatal(err)
@@ -58,31 +45,6 @@ func BenchmarkWireRecvUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := conn.RecvInto(&env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGobRecvUpdate pre-encodes a stream of b.N identical updates
-// (gob streams are stateful: the type descriptor is sent once, so a
-// frame cannot simply be replayed) and decodes them with Conn.Recv — the
-// allocating path a gob server actually runs.
-func BenchmarkGobRecvUpdate(b *testing.B) {
-	update, _ := allocEnvelopes()
-	var buf bytes.Buffer
-	enc := NewConn(&byteConn{}, nil)
-	enc.cw.w = &buf // redirect the discarding conn's writes into the buffer
-	for i := 0; i < b.N; i++ {
-		if err := enc.Send(update); err != nil {
-			b.Fatal(err)
-		}
-	}
-	conn := NewConn(&byteConn{r: &buf}, nil)
-	b.SetBytes(int64(buf.Len()) / int64(b.N))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Recv(); err != nil {
 			b.Fatal(err)
 		}
 	}

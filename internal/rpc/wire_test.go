@@ -2,12 +2,16 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,7 +35,7 @@ func (c *captureConn) Write(p []byte) (int, error) { return c.buf.Write(p) }
 func encodeBinaryEnvelope(tb testing.TB, e *Envelope) []byte {
 	tb.Helper()
 	cc := &captureConn{}
-	conn := NewBinaryConn(cc, nil)
+	conn := NewConn(cc, nil)
 	if err := conn.Send(e); err != nil {
 		tb.Fatalf("encode %v: %v", e.Type, err)
 	}
@@ -80,7 +84,7 @@ func TestWireRoundTripAllTypes(t *testing.T) {
 	for _, want := range wireFixtures() {
 		want := want
 		a, b := net.Pipe()
-		ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
+		ca, cb := NewConn(a, nil), NewConn(b, nil)
 		errCh := make(chan error, 1)
 		go func() { errCh <- ca.Send(want) }()
 		got, err := cb.Recv()
@@ -100,10 +104,10 @@ func TestWireRoundTripAllTypes(t *testing.T) {
 
 // TestWireExactByteAccounting pins the binary codec's accounting
 // guarantee: both ends count exactly 4 + payload bytes per message — no
-// decoder read-ahead, no bufio slack (the documented gob caveat).
+// decoder read-ahead, no bufio slack.
 func TestWireExactByteAccounting(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
+	ca, cb := NewConn(a, nil), NewConn(b, nil)
 	defer ca.Close()
 	defer cb.Close()
 	for _, e := range wireFixtures() {
@@ -143,13 +147,13 @@ func TestWireSizeCapExact(t *testing.T) {
 	raw := encodeBinaryEnvelope(t, e)
 	frame := int64(len(raw))
 
-	at := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+	at := NewConn(&byteConn{r: bytes.NewReader(raw)}, nil)
 	at.SetMaxMessage(frame)
 	if _, err := at.Recv(); err != nil {
 		t.Fatalf("frame of exactly the cap rejected: %v", err)
 	}
 
-	over := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+	over := NewConn(&byteConn{r: bytes.NewReader(raw)}, nil)
 	over.SetMaxMessage(frame - 1)
 	_, err := over.Recv()
 	if !errors.Is(err, ErrMessageTooLarge) {
@@ -159,7 +163,7 @@ func TestWireSizeCapExact(t *testing.T) {
 		t.Fatalf("capped recv consumed %d bytes, want only the 4-byte prefix", got)
 	}
 
-	uncapped := NewBinaryConn(&byteConn{r: bytes.NewReader(raw)}, nil)
+	uncapped := NewConn(&byteConn{r: bytes.NewReader(raw)}, nil)
 	uncapped.SetMaxMessage(0)
 	if _, err := uncapped.Recv(); err != nil {
 		t.Fatalf("uncapped conn failed: %v", err)
@@ -172,7 +176,7 @@ func TestWireTruncationErrors(t *testing.T) {
 	raw := encodeBinaryEnvelope(t, fixtureEnvelopes()[1]) // MsgModel
 	cuts := []int{0, 1, 3, 4, 5, envHeaderBytes, len(raw) / 2, len(raw) - 1}
 	for _, cut := range cuts {
-		c := NewBinaryConn(&byteConn{r: bytes.NewReader(raw[:cut])}, nil)
+		c := NewConn(&byteConn{r: bytes.NewReader(raw[:cut])}, nil)
 		_, err := c.Recv()
 		if err == nil {
 			t.Fatalf("cut at %d of %d decoded successfully", cut, len(raw))
@@ -185,7 +189,7 @@ func TestWireTruncationErrors(t *testing.T) {
 		}
 	}
 	// A complete frame followed by a cut one: first decodes, second errors.
-	c := NewBinaryConn(&byteConn{r: bytes.NewReader(append(append([]byte{}, raw...), raw[:7]...))}, nil)
+	c := NewConn(&byteConn{r: bytes.NewReader(append(append([]byte{}, raw...), raw[:7]...))}, nil)
 	if _, err := c.Recv(); err != nil {
 		t.Fatalf("intact first frame: %v", err)
 	}
@@ -194,24 +198,29 @@ func TestWireTruncationErrors(t *testing.T) {
 	}
 }
 
-// TestWireNegotiate covers the connect-time codec handshake at the
-// socket level: upgrade accepted, upgrade declined, and a gob client
-// against a sniffing server.
+// TestWireNegotiate covers the version gate. upgrade: a client that
+// sends the preamble reads back the exact echo and both ends speak
+// binary frames. Every other subtest opens a rogue connection to a live
+// server with something other than the preamble — a gob-encoded hello
+// from a pre-binary build, a wrong version byte (declined), random
+// bytes, or two bytes and a stall — and the server must close it within
+// the hello deadline without writing a byte, while it finishes the
+// session with its real client.
 func TestWireNegotiate(t *testing.T) {
-	listen := func(t *testing.T, acceptBinary bool) (net.Listener, chan *Conn) {
-		t.Helper()
+	t.Run("upgrade", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { ln.Close() })
+		defer ln.Close()
 		conns := make(chan *Conn, 1)
 		go func() {
 			raw, err := ln.Accept()
 			if err != nil {
+				close(conns)
 				return
 			}
-			conn, err := serverNegotiate(raw, acceptBinary)
+			conn, err := Accept(raw, "")
 			if err != nil {
 				raw.Close()
 				close(conns)
@@ -219,83 +228,65 @@ func TestWireNegotiate(t *testing.T) {
 			}
 			conns <- conn
 		}()
-		return ln, conns
-	}
-
-	t.Run("upgrade", func(t *testing.T) {
-		ln, conns := listen(t, true)
 		raw, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !clientNegotiate(raw, time.Second) {
-			t.Fatal("binary-accepting server declined the preamble")
+		if err := clientHandshake(raw, time.Second); err != nil {
+			t.Fatalf("handshake with an accepting server: %v", err)
 		}
-		cc := NewBinaryConn(raw, nil)
+		cc := NewConn(raw, nil)
 		defer cc.Close()
 		sc := <-conns
-		if sc.Codec() != WireBinary {
-			t.Fatalf("server codec %q, want binary", sc.Codec())
+		if sc == nil {
+			t.Fatal("server rejected the preamble")
 		}
+		defer sc.Close()
 		go cc.Send(&Envelope{Type: MsgHello, ClientID: 4, NumSamples: 77})
 		e, err := sc.Recv()
 		if err != nil || e.Type != MsgHello || e.NumSamples != 77 {
-			t.Fatalf("post-upgrade exchange: %+v, %v", e, err)
+			t.Fatalf("post-handshake exchange: %+v, %v", e, err)
 		}
 	})
 
-	t.Run("declined", func(t *testing.T) {
-		ln, conns := listen(t, false)
-		raw, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer raw.Close()
-		// The gob-only server feeds the preamble to its gob decoder, which
-		// errors out; here the accept loop then closes the socket, so the
-		// client's ack read fails and negotiation reports a decline. The
-		// server side runs in a goroutine: serverNegotiate itself blocks
-		// until the client's first bytes arrive.
-		recvErr := make(chan error, 1)
-		go func() {
-			sc := <-conns
-			_, err := sc.Recv()
-			recvErr <- err
-			sc.Close()
-		}()
-		if clientNegotiate(raw, time.Second) {
-			t.Fatal("gob-only server accepted the binary preamble")
-		}
-		if err := <-recvErr; err == nil {
-			t.Fatal("gob decoder accepted the binary preamble")
-		}
-	})
-
-	t.Run("gob-client", func(t *testing.T) {
-		ln, conns := listen(t, true)
-		raw, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cc := NewConn(raw, nil) // plain gob, no preamble
-		defer cc.Close()
-		go cc.Send(&Envelope{Type: MsgHello, ClientID: 8, NumSamples: 5})
-		sc := <-conns
-		if sc.Codec() != WireGob {
-			t.Fatalf("server codec %q, want gob (sniffed)", sc.Codec())
-		}
-		// The sniffed first byte is replayed: the hello decodes intact.
-		e, err := sc.Recv()
-		if err != nil || e.Type != MsgHello || e.ClientID != 8 || e.NumSamples != 5 {
-			t.Fatalf("sniffed gob exchange: %+v, %v", e, err)
-		}
-	})
+	var gobHello bytes.Buffer
+	if err := gob.NewEncoder(&gobHello).Encode(&Envelope{Type: MsgHello, ClientID: 0, NumSamples: 5}); err != nil {
+		t.Fatal(err)
+	}
+	wrongVersion := wirePreamble
+	wrongVersion[3] = wireVersion + 1
+	random := make([]byte, 64)
+	rng := stats.NewRNG(13)
+	for i := range random {
+		random[i] = byte(rng.Intn(256))
+	}
+	if bytes.HasPrefix(random, wirePreamble[:]) {
+		t.Fatal("random opener starts with the preamble")
+	}
+	for _, tc := range []struct {
+		name   string
+		opener []byte
+	}{
+		{"gob-client", gobHello.Bytes()},
+		{"declined", wrongVersion[:]},
+		{"random-bytes", random},
+		{"stalled", wirePreamble[:2]},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			rogueOpenerSession(t, tc.opener)
+		})
+	}
 }
 
-// wireSession runs a deterministic single-client session under the given
-// codecs and returns both results plus the server's metrics exposition.
-func wireSession(t *testing.T, serverWire, clientWire string) (*ServerResult, *ClientResult, map[string]float64) {
+// rogueOpenerSession runs a deterministic one-client session while a
+// rogue connection opens with the given bytes, and checks that the server
+// closes the rogue connection within the hello deadline without writing
+// to it and still completes every round with its real client.
+func rogueOpenerSession(t *testing.T, opener []byte) {
 	t.Helper()
+	const rounds = 2
 	seed := uint64(31)
 	ds := dataset.SynthMNIST(200, 16, seed)
 	train, test := ds.Split(0.8, seed+1)
@@ -306,100 +297,182 @@ func wireSession(t *testing.T, serverWire, clientWire string) (*ServerResult, *C
 	cfg.Compression.WarmupRounds = 1
 	cfg.ScaleRatiosForModel(5000)
 	cfg.K = 1
-
-	reg := obs.NewRegistry()
 	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 4, Wire: serverWire,
+		Addr: "127.0.0.1:0", NumClients: 1, Rounds: rounds,
 		Cfg: cfg, NewModel: newModel, Test: test, EvalEvery: 2, Logf: quiet,
-		Metrics: reg,
+		StragglerTimeout: 3 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan *ClientResult, 1)
+
+	rogue, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rogue.Close()
+	dialed := time.Now()
+	if _, err := rogue.Write(opener); err != nil {
+		t.Fatal(err)
+	}
+	type readOut struct {
+		n     int64
+		after time.Duration
+	}
+	closed := make(chan readOut, 1)
 	go func() {
-		res, err := RunClient(ClientConfig{
-			Addr: srv.Addr(), ID: 0, Data: train, NewModel: newModel, Wire: clientWire,
+		rogue.SetReadDeadline(dialed.Add(helloTimeout + 5*time.Second))
+		n, _ := io.Copy(io.Discard, rogue)
+		closed <- readOut{n, time.Since(dialed)}
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunClient(ClientConfig{
+			Addr: srv.Addr(), ID: 0, Data: train, NewModel: newModel,
 			LocalSteps: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9,
 			Utility: cfg.Utility, UpBps: 1e6, DownBps: 1e6,
 			DGCClip: 10, DGCMsgClip: 2, Seed: seed,
 			Logf: quiet,
 		})
-		if err != nil {
-			t.Errorf("client: %v", err)
-		}
-		done <- res
+		done <- err
 	}()
 	res, err := srv.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres := <-done
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := <-done; err != nil {
+		t.Errorf("real client: %v", err)
+	}
+	if len(res.Rounds) != rounds || res.EndedEarly {
+		t.Errorf("session ran %d of %d rounds (ended early: %v)", len(res.Rounds), rounds, res.EndedEarly)
+	}
+	r := <-closed
+	if r.n != 0 {
+		t.Errorf("server wrote %d bytes to the rogue connection", r.n)
+	}
+	if r.after > helloTimeout+time.Second {
+		t.Errorf("rogue connection stayed open %v, hello deadline is %v", r.after, helloTimeout)
+	}
+}
+
+// TestClientRedialsDroppedPreamble: a lossy client whose very first write
+// — the wire preamble — is dropped treats the failed handshake as an
+// ordinary failed dial. It is logged as a lost link, counted in
+// Reconnects and the redials metric, and the redial passes the version
+// gate like any other connection.
+func TestClientRedialsDroppedPreamble(t *testing.T) {
+	const dropSeed = 5
+	fault := func() *FaultConfig { return &FaultConfig{DropProb: 0.3, Seed: dropSeed} }
+	// The schedule replays from its seed: the first connection wrapped
+	// from a fresh config drops its first write.
+	if _, err := WrapFault(&byteConn{}, fault()).Write(wirePreamble[:]); !errors.Is(err, ErrInjectedDrop) {
+		t.Fatalf("fault seed %d: first write not dropped (%v)", dropSeed, err)
+	}
+
+	env := newChaosEnv(2, 240, 12, 16, 61)
+	const rounds = 6
+	scfg := env.serverConfig(rounds)
+	reg := obs.NewRegistry()
+	scfg.Metrics = reg
+	srv, err := NewServer(scfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return res, cres, parseExposition(t, buf.String())
+	cfgs := []ClientConfig{env.clientConfig(0, srv.Addr()), env.clientConfig(1, srv.Addr())}
+	clientReg := obs.NewRegistry()
+	var mu sync.Mutex
+	var lines []string
+	cfgs[1].Fault = fault()
+	cfgs[1].MaxRetries = 8
+	cfgs[1].RetryBackoff = 5 * time.Millisecond
+	cfgs[1].Metrics = clientReg
+	cfgs[1].Logf = func(format string, args ...interface{}) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	type out struct {
+		res  []*ClientResult
+		errs []error
+	}
+	outCh := make(chan out, 1)
+	go func() {
+		r, e := runClients(cfgs)
+		outCh <- out{r, e}
+	}()
+	res, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := <-outCh
+	if len(res.Rounds) != rounds {
+		t.Fatalf("completed %d/%d rounds", len(res.Rounds), rounds)
+	}
+	if o.errs[0] != nil {
+		t.Errorf("stable client: %v", o.errs[0])
+	}
+	lossy := o.res[1]
+	if lossy == nil || lossy.Reconnects < 1 {
+		t.Fatalf("lossy client result %+v, want at least one reconnect", lossy)
+	}
+	if redials := clientReg.Counter("adafl_client_redials_total").Value(); int(redials) != lossy.Reconnects {
+		t.Errorf("redials metric %v, Reconnects %d", redials, lossy.Reconnects)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) == 0 || !strings.Contains(lines[0], "link lost") || !strings.Contains(lines[0], "wire preamble") {
+		t.Fatalf("lossy client's first log line %q, want the dropped preamble reported as a lost link", lines)
+	}
+	if got := reg.Counter(`adafl_wire_messages_total{codec="binary"}`).Value(); got <= 0 {
+		t.Errorf("server counted %v binary messages", got)
+	}
 }
 
-// TestWireFallbackToGob: a default (binary-requesting) client against a
-// gob-only server falls back transparently — the session completes, every
-// message is attributed to the gob codec, and the one fallback redial is
-// not charged against the retry budget.
-func TestWireFallbackToGob(t *testing.T) {
-	res, cres, samples := wireSession(t, WireGob, "")
-	if len(res.Rounds) != 4 {
-		t.Fatalf("fallback session ran %d of 4 rounds", len(res.Rounds))
+// TestClientRejectsWrongWireVersion: a server that acknowledges the
+// preamble with another version byte speaks a different wire protocol.
+// RunClient fails with errProtocol at once instead of spending its retry
+// budget on redials that cannot succeed.
+func TestClientRejectsWrongWireVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cres == nil || cres.Rounds != 4 {
-		t.Fatalf("fallback client saw %+v", cres)
-	}
-	if cres.Reconnects != 0 {
-		t.Fatalf("fallback charged %d reconnects against the retry budget", cres.Reconnects)
-	}
-	if samples[`adafl_wire_messages_total{codec="gob"}`] <= 0 {
-		t.Error("no messages attributed to the gob codec")
-	}
-	if samples[`adafl_wire_messages_total{codec="binary"}`] != 0 {
-		t.Errorf("binary messages on a gob-only server: %v",
-			samples[`adafl_wire_messages_total{codec="binary"}`])
-	}
-	if samples["adafl_connections"] != 0 {
-		t.Errorf("adafl_connections = %v after shutdown, want 0", samples["adafl_connections"])
-	}
-}
-
-// TestWireGobBinarySessionsBitIdentical: the binary codec must be a pure
-// transport change — a deterministic session run over each codec produces
-// bit-identical learning trajectories (f64 values survive both codecs
-// exactly), differing only in wire volume.
-func TestWireGobBinarySessionsBitIdentical(t *testing.T) {
-	bin, binClient, binSamples := wireSession(t, "", "")
-	gob, gobClient, _ := wireSession(t, WireGob, WireGob)
-	if binSamples[`adafl_wire_messages_total{codec="binary"}`] <= 0 {
-		t.Fatal("default session did not negotiate the binary codec")
-	}
-	if len(bin.Rounds) != len(gob.Rounds) {
-		t.Fatalf("round counts differ: %d vs %d", len(bin.Rounds), len(gob.Rounds))
-	}
-	for i := range bin.Rounds {
-		b, g := bin.Rounds[i], gob.Rounds[i]
-		if math.Float64bits(b.TestAcc) != math.Float64bits(g.TestAcc) {
-			t.Errorf("round %d: acc %v (binary) vs %v (gob)", i, b.TestAcc, g.TestAcc)
+	defer ln.Close()
+	var accepts atomic.Int32
+	go func() {
+		for {
+			raw, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func() {
+				defer raw.Close()
+				var pre [4]byte
+				if _, err := io.ReadFull(raw, pre[:]); err != nil {
+					return
+				}
+				ack := wirePreamble
+				ack[3] = wireVersion + 1
+				raw.Write(ack[:])
+				io.Copy(io.Discard, raw)
+			}()
 		}
-		if b.Selected != g.Selected || b.Received != g.Received {
-			t.Errorf("round %d: participation differs: %+v vs %+v", i, b, g)
-		}
+	}()
+	res, err := RunClient(ClientConfig{
+		Addr: ln.Addr().String(), ID: 0, Data: tinyDataset(t),
+		NewModel:   func() *nn.Model { return nn.NewImageMLP([]int{1, 16, 16}, []int{8}, 10, stats.NewRNG(2)) },
+		LocalSteps: 1, BatchSize: 4, LR: 0.1,
+		Utility: core.DefaultUtility(), UpBps: 1e6, DownBps: 1e6,
+		Logf: quiet, Seed: 3,
+		MaxRetries: 5, RetryBackoff: time.Millisecond, DialTimeout: time.Second,
+	})
+	if !errors.Is(err, errProtocol) {
+		t.Fatalf("wrong wire version: err = %v, want a protocol violation", err)
 	}
-	if math.Float64bits(bin.FinalAcc) != math.Float64bits(gob.FinalAcc) {
-		t.Fatalf("final acc differs: %v (binary) vs %v (gob)", bin.FinalAcc, gob.FinalAcc)
-	}
-	if binClient.Uploads != gobClient.Uploads {
-		t.Fatalf("uploads differ: %d vs %d", binClient.Uploads, gobClient.Uploads)
-	}
-	// The point of the codec: same session, fewer wire bytes.
-	if bin.BytesReceived >= gob.BytesReceived {
-		t.Errorf("binary uplink %d bytes ≥ gob %d", bin.BytesReceived, gob.BytesReceived)
+	if res.Reconnects != 0 || accepts.Load() != 1 {
+		t.Fatalf("wrong wire version retried: %d reconnects, %d dials", res.Reconnects, accepts.Load())
 	}
 }
 
@@ -430,7 +503,7 @@ func TestWireZeroAllocSend(t *testing.T) {
 		name string
 		e    *Envelope
 	}{{"update", update}, {"model", model}} {
-		conn := NewBinaryConn(&byteConn{}, nil)
+		conn := NewConn(&byteConn{}, nil)
 		if allocs := testing.AllocsPerRun(100, func() {
 			if err := conn.Send(tc.e); err != nil {
 				t.Fatal(err)
@@ -450,7 +523,7 @@ func TestWireZeroAllocRecvInto(t *testing.T) {
 		e    *Envelope
 	}{{"update", update}, {"model", model}} {
 		raw := encodeBinaryEnvelope(t, tc.e)
-		conn := NewBinaryConn(&byteConn{r: &repeatReader{data: raw}}, nil)
+		conn := NewConn(&byteConn{r: &repeatReader{data: raw}}, nil)
 		var env Envelope
 		// Prime the connection scratch (first decode allocates it).
 		if err := conn.RecvInto(&env); err != nil {
@@ -475,7 +548,7 @@ func TestWireZeroAllocRecvInto(t *testing.T) {
 // the shutdown path).
 func TestWireConcurrentSendRecv(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewBinaryConn(a, nil), NewBinaryConn(b, nil)
+	ca, cb := NewConn(a, nil), NewConn(b, nil)
 	defer ca.Close()
 	defer cb.Close()
 	const n = 50
@@ -507,40 +580,6 @@ func TestWireConcurrentSendRecv(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCodecInterop: every message type — including the edge-federation
-// vocabulary (ping, edge hello, edge partial, reroute) — decodes to the
-// same logical envelope through both codecs. A mixed deployment (binary
-// edges, gob fallback clients) must agree on every field either path.
-func TestCodecInterop(t *testing.T) {
-	roundTrip := func(e *Envelope, mk func(net.Conn, *TokenBucket) *Conn) *Envelope {
-		t.Helper()
-		a, b := net.Pipe()
-		ca, cb := mk(a, nil), mk(b, nil)
-		defer ca.Close()
-		defer cb.Close()
-		errCh := make(chan error, 1)
-		go func() { errCh <- ca.Send(e) }()
-		got, err := cb.Recv()
-		if err != nil {
-			t.Fatalf("type %v: recv: %v", e.Type, err)
-		}
-		if err := <-errCh; err != nil {
-			t.Fatalf("type %v: send: %v", e.Type, err)
-		}
-		return got
-	}
-	for _, e := range fixtureEnvelopes() {
-		viaGob := roundTrip(e, NewConn)
-		viaBin := roundTrip(e, NewBinaryConn)
-		if !reflect.DeepEqual(viaGob, viaBin) {
-			t.Errorf("type %v: codecs disagree:\n gob    %+v\n binary %+v", e.Type, viaGob, viaBin)
-		}
-		if !reflect.DeepEqual(viaBin, e) {
-			t.Errorf("type %v: binary drops information:\n got  %+v\n want %+v", e.Type, viaBin, e)
-		}
-	}
-}
-
 // TestWireHelloSessionLegacyInterop pins the multi-session hello
 // extension's compatibility contract: an empty session encodes as the
 // legacy 4-byte hello body, and a hand-built legacy frame decodes with
@@ -568,7 +607,7 @@ func TestWireHelloSessionLegacyInterop(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	cb := NewBinaryConn(b, nil)
+	cb := NewConn(b, nil)
 	go a.Write(raw)
 	got, err := cb.Recv()
 	if err != nil {

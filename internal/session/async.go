@@ -310,7 +310,7 @@ func (a *AsyncSession) Version() int {
 	return v
 }
 
-// Deliver admits a negotiated connection whose hello has been read
+// Deliver admits an accepted connection whose hello has been read
 // (the Manager's routing contract). Safe any time after NewAsync.
 func (a *AsyncSession) Deliver(conn *rpc.Conn, hello *rpc.Envelope) error {
 	id := hello.ClientID

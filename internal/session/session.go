@@ -1,6 +1,6 @@
 // Package session is the multi-session control plane: one TCP listener
 // multiplexing N named federation sessions. The manager owns the socket,
-// negotiates the wire codec per connection, reads the registration hello
+// passes each connection through the wire version gate, reads the registration hello
 // and routes it by the hello's Session field — "" targets the default
 // session, so single-session clients interoperate unchanged. Each
 // session is an independent engine with its own global model, aggregator
@@ -29,7 +29,7 @@ import (
 // DefaultSession is the session name an empty hello Session routes to.
 const DefaultSession = "default"
 
-// helloTimeout bounds codec negotiation plus the hello read on a freshly
+// helloTimeout bounds the wire version gate plus the hello read on a freshly
 // accepted connection, so a dialer that never speaks cannot pin a router
 // goroutine.
 const helloTimeout = 5 * time.Second
@@ -39,7 +39,7 @@ const helloTimeout = 5 * time.Second
 const maxSessionName = 255
 
 // Handler is a session engine the manager routes connections to. Deliver
-// receives an admitted, codec-negotiated connection whose hello has
+// receives an admitted connection past the wire version gate whose hello has
 // already been read; the engine owns the connection from then on. The
 // hello envelope is only valid during the call. Both rpc.Server (via
 // rpc.NewManagedServer) and AsyncSession implement it.
@@ -51,9 +51,9 @@ type Handler interface {
 type Config struct {
 	// Addr is the listen address, e.g. ":7070".
 	Addr string
-	// Wire selects the accepted wire codecs exactly like
-	// rpc.ServerConfig.Wire: "" or rpc.WireBinary sniffs per connection,
-	// rpc.WireGob declines binary preambles.
+	// Wire accepts only "" or rpc.WireBinary. Binary framing is the only
+	// wire codec; any other value, "gob" included, is a configuration
+	// error that names the removal (see rpc.CheckWire).
 	Wire string
 	// Fault, when non-nil, wraps every accepted connection with injected
 	// link faults.
@@ -78,8 +78,8 @@ type Manager struct {
 
 // NewManager binds the listen socket and returns the manager.
 func NewManager(cfg Config) (*Manager, error) {
-	if cfg.Wire != "" && cfg.Wire != rpc.WireBinary && cfg.Wire != rpc.WireGob {
-		return nil, fmt.Errorf("session: unknown wire codec %q (want %q or %q)", cfg.Wire, rpc.WireBinary, rpc.WireGob)
+	if err := rpc.CheckWire(cfg.Wire); err != nil {
+		return nil, err
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -147,7 +147,7 @@ func (m *Manager) Serve() error {
 	}
 }
 
-// route negotiates the codec, reads the hello and hands the connection
+// route passes the version gate, reads the hello and hands the connection
 // to the named session. Rejections (unknown session, engine refusal) are
 // the engine's or the notice's problem — the router never blocks the
 // accept loop.
@@ -155,7 +155,7 @@ func (m *Manager) route(raw net.Conn) {
 	defer m.wg.Done()
 	wrapped := rpc.WrapFault(raw, m.cfg.Fault)
 	wrapped.SetReadDeadline(time.Now().Add(helloTimeout))
-	conn, err := rpc.Accept(wrapped, m.cfg.Wire)
+	conn, err := rpc.Accept(wrapped, "")
 	if err != nil {
 		wrapped.Close()
 		return
