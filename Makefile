@@ -43,10 +43,11 @@ chaos:
 
 # Short fuzzing smoke over the attack surfaces: corrupted/truncated wire
 # frames and checkpoint snapshots must error, never panic (and the two
-# wire receive paths must agree frame by frame), and the sharded
+# wire receive paths must agree frame by frame), the sharded
 # streaming aggregator must agree with the reference fold under
-# adversarial updates. CI-friendly 10s budgets; raise -fuzztime locally
-# for a deeper run.
+# adversarial updates, and the sampled top-k selector must match its
+# sort-based reference bit for bit. CI-friendly 10s budgets; raise
+# -fuzztime locally for a deeper run.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/rpc/
 	$(GO) test -run xxx -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpc/
@@ -54,6 +55,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeltaDecode -fuzztime 10s ./internal/checkpoint/
 	$(GO) test -run xxx -fuzz FuzzShardMerge -fuzztime 10s ./internal/shard/
 	$(GO) test -run xxx -fuzz FuzzScenarioDecode -fuzztime 10s ./internal/scenario/
+	$(GO) test -run xxx -fuzz FuzzSelectTopK -fuzztime 10s ./internal/compress/
 
 # Coverage floors on the scenario engine and the models it composes, plus
 # the wire codec, the sharded aggregation tree and the two-tier edge

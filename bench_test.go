@@ -310,24 +310,40 @@ func BenchmarkUtilityScore431k(b *testing.B) {
 	}
 }
 
-// BenchmarkDGCEncode431k measures one DGC encode at 210x compression —
+// benchRatios are the compression ratios the codec benchmarks sweep: the
+// shallow end of AdaFL's range (4×, k = n/8), a middle point (20×) and
+// the paper's 210×. A sampled threshold has the least to gain at 4×.
+var benchRatios = []float64{4, 20, 210}
+
+// BenchmarkDGCEncode431k measures one DGC encode at each bench ratio —
 // the per-upload cost of AdaFL's compressor.
 func BenchmarkDGCEncode431k(b *testing.B) {
-	d := compress.NewDGC(0, 10)
 	g := randomVec(paperDim, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Encode(g, 210)
+	for _, ratio := range benchRatios {
+		b.Run(fmt.Sprintf("ratio=%g", ratio), func(b *testing.B) {
+			d := compress.NewDGC(0, 10)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Encode(g, ratio)
+			}
+		})
 	}
 }
 
-// BenchmarkTopKSelect431k measures raw top-k selection.
+// BenchmarkTopKSelect431k measures raw top-k selection at each bench
+// ratio.
 func BenchmarkTopKSelect431k(b *testing.B) {
 	g := randomVec(paperDim, 4)
-	k := compress.KForRatio(paperDim, 210)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		compress.SelectTopK(g, k)
+	for _, ratio := range benchRatios {
+		b.Run(fmt.Sprintf("ratio=%g", ratio), func(b *testing.B) {
+			k := compress.KForRatio(paperDim, ratio)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				compress.SelectTopK(g, k)
+			}
+		})
 	}
 }
 

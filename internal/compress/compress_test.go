@@ -351,7 +351,9 @@ func TestTopKThresholdMatchesSort(t *testing.T) {
 			v[i] = r.Norm()
 		}
 		k := int(kRaw%99) + 1
-		got := topKThreshold(v, k, make([]float64, len(v)))
+		mags := make([]float64, len(v))
+		m := collectCandidates(v, 0, make([]int32, len(v)), mags)
+		got := quickselect(mags[:m], m-k)
 		abs := make([]float64, len(v))
 		for i, x := range v {
 			abs[i] = math.Abs(x)

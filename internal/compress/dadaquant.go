@@ -29,10 +29,10 @@ type DAdaQuant struct {
 	// MaxLevels.
 	DoubleEvery int
 
-	rng     *stats.RNG
-	round   int
-	levels  int
-	scratch []float64
+	rng    *stats.RNG
+	round  int
+	levels int
+	sel    selectBuffers
 
 	// v is the error-feedback residual: gradient mass a deep-ratio top-k
 	// encode leaves unsent is carried into the next encode instead of
@@ -162,8 +162,10 @@ func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
 	if len(d.v) != dim {
 		d.v = make([]float64, dim)
 	}
+	// Non-finite coordinates are zeroed before they reach the residual,
+	// as in DGC: one NaN would otherwise turn every later flush into NaNs.
 	for i, x := range grad {
-		d.v[i] += x
+		d.v[i] += scrub(x)
 	}
 	// Stage the accumulated gradient: Rollback restores it wholesale (the
 	// upload never joined the aggregate, so its mass returns to the
@@ -182,10 +184,7 @@ func (d *DAdaQuant) Encode(grad []float64, ratio float64) *Sparse {
 	if k >= dim {
 		return d.flushDense(lv, bits)
 	}
-	if cap(d.scratch) < dim {
-		d.scratch = make([]float64, dim)
-	}
-	msg := SelectTopKScratch(d.v, k, d.scratch)
+	msg := d.sel.selectTopK(d.v, k)
 	for _, idx := range msg.Indices {
 		d.v[idx] = 0
 	}

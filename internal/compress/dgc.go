@@ -43,10 +43,9 @@ type DGC struct {
 
 	u, v []float64
 
-	// gbuf holds the clipped working copy of each incoming gradient and
-	// scratch the quickselect buffer; both are recycled across Encode calls
+	// sel holds the top-k selection buffers, recycled across Encode calls
 	// so a steady-state encode allocates only the outgoing message.
-	gbuf, scratch []float64
+	sel selectBuffers
 
 	// Deferred-commit staging: Encode clears the transmitted coordinates of
 	// u/v optimistically, but the upload can still fail or be quarantined.
@@ -108,38 +107,42 @@ func (d *DGC) Encode(grad []float64, ratio float64) *Sparse {
 	if len(d.u) != len(grad) {
 		panic("compress: DGC gradient dimension changed")
 	}
-	if cap(d.gbuf) < len(grad) {
-		d.gbuf = make([]float64, len(grad))
-	}
-	g := d.gbuf[:len(grad)]
-	copy(g, grad)
-	// Scrub non-finite coordinates before anything touches the
-	// accumulators: a single NaN would propagate through ClipNorm's norm
-	// and the u/v updates, permanently poisoning the error-feedback state
-	// for every later round. Zero keeps the coordinate's residual intact.
-	for i, x := range g {
-		if !finite(x) {
-			g[i] = 0
-		}
-	}
+	// Non-finite coordinates are scrubbed to zero before anything touches
+	// the accumulators: a single NaN would propagate through ClipNorm's
+	// norm and the u/v updates, permanently poisoning the error-feedback
+	// state for every later round. Zero keeps the coordinate's residual
+	// intact. Two passes over grad: the clipping norm, then the clipped,
+	// momentum-corrected accumulation. Both sum in index order, so the
+	// norms match tensor.Norm2 bit for bit.
+	scale := 1.0 // x·1 is exact, so an unclipped gradient passes unchanged
 	if d.ClipNorm > 0 {
-		tensor.ClipNorm(g, d.ClipNorm)
+		sum := 0.0
+		for _, x := range grad {
+			x = scrub(x)
+			sum += x * x
+		}
+		if n := math.Sqrt(sum); n > d.ClipNorm {
+			scale = d.ClipNorm / n
+		}
 	}
 	decay := d.ResidualDecay
 	if decay == 0 {
 		decay = 1
 	}
-	for i, x := range g {
-		d.u[i] = d.Momentum*d.u[i] + x
-		d.v[i] = decay*d.v[i] + d.u[i]
+	clipMsg := d.MsgClipFactor > 0
+	gsq := 0.0
+	u, v := d.u[:len(grad)], d.v[:len(grad)]
+	for i, x := range grad {
+		x = scrub(x) * scale
+		if clipMsg {
+			gsq += x * x
+		}
+		u[i] = d.Momentum*u[i] + x
+		v[i] = decay*v[i] + u[i]
 	}
-	k := KForRatio(len(grad), ratio)
-	if cap(d.scratch) < len(grad) {
-		d.scratch = make([]float64, len(grad))
-	}
-	msg := SelectTopKScratch(d.v, k, d.scratch)
-	if d.MsgClipFactor > 0 {
-		bound := d.MsgClipFactor * tensor.Norm2(g)
+	msg := d.sel.selectTopK(d.v, KForRatio(len(grad), ratio))
+	if clipMsg {
+		bound := d.MsgClipFactor * math.Sqrt(gsq)
 		if n := tensor.Norm2(msg.Values); n > bound && n > 0 {
 			tensor.ScaleVec(msg.Values, bound/n)
 		}

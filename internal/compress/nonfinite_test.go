@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"adafl/internal/stats"
 )
 
 // run executes f with a deadline: the pre-fix quickselect could loop
@@ -124,4 +126,27 @@ func TestDGCEncodeNonFinite(t *testing.T) {
 			t.Fatal("clean round transmitted nothing")
 		}
 	})
+}
+
+// TestDAdaQuantEncodeNonFinite checks that a non-finite coordinate is
+// zeroed before it reaches DAdaQuant's residual: the flush it rides in
+// stays finite with a finite norm, and a later all-finite gradient is not
+// poisoned by residue from the bad round.
+func TestDAdaQuantEncodeNonFinite(t *testing.T) {
+	d := NewDAdaQuant(4, 4, 1, stats.NewRNG(1))
+	bad := make([]float64, 1000)
+	for i := range bad {
+		bad[i] = float64(i%7) - 3
+	}
+	bad[10], bad[20], bad[30] = math.NaN(), math.Inf(1), math.Inf(-1)
+	for round, g := range [][]float64{bad, normalVec(1000, 2)} {
+		for _, ratio := range []float64{1, 200} {
+			s := d.Encode(g, ratio)
+			assertFinite(t, s)
+			if math.IsNaN(s.QuantNorm) || math.IsInf(s.QuantNorm, 0) || s.QuantNorm == 0 {
+				t.Fatalf("round %d ratio %v: QuantNorm = %v", round, ratio, s.QuantNorm)
+			}
+			d.Commit()
+		}
+	}
 }

@@ -70,7 +70,13 @@ func (m *Model) NumParams() int {
 // ParamVector flattens all trainable parameters into a single vector in
 // deterministic layer order.
 func (m *Model) ParamVector() []float64 {
-	out := make([]float64, 0, m.NumParams())
+	return m.ParamVectorInto(make([]float64, 0, m.NumParams()))
+}
+
+// ParamVectorInto is ParamVector writing into dst's storage, which it
+// reuses when cap(dst) ≥ NumParams. It returns the filled vector.
+func (m *Model) ParamVectorInto(dst []float64) []float64 {
+	out := dst[:0]
 	for _, l := range m.Layers {
 		for _, p := range l.Params() {
 			out = append(out, p.Data...)

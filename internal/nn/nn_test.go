@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -49,6 +50,22 @@ func TestParamVectorRoundTrip(t *testing.T) {
 		if got[i] != float64(i) {
 			t.Fatalf("round-trip mismatch at %d", i)
 		}
+	}
+}
+
+func TestParamVectorIntoReusesStorage(t *testing.T) {
+	m := NewMLP(stats.NewRNG(3), 5, 7, 3)
+	want := m.ParamVector()
+	buf := make([]float64, 2, m.NumParams()+4)
+	got := m.ParamVectorInto(buf)
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("ParamVectorInto allocated despite enough capacity")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("ParamVectorInto differs from ParamVector")
+	}
+	if small := m.ParamVectorInto(nil); !reflect.DeepEqual(small, want) {
+		t.Fatal("ParamVectorInto(nil) differs from ParamVector")
 	}
 }
 

@@ -185,6 +185,8 @@ type clientSession struct {
 	pending rollbackCodec
 	res     *ClientResult
 	met     clientMetrics
+	// delta is trainFrom's dense buffer, reused every round.
+	delta []float64
 }
 
 // newUplinkCodec builds the named default codec. The stochastic codecs
@@ -268,6 +270,26 @@ func (s *clientSession) negotiatedCodec(name string) (compress.Codec, error) {
 		return s.dada, nil
 	}
 	return nil, fmt.Errorf("unknown negotiated codec %q", name)
+}
+
+// trainFrom runs the local steps from the broadcast params and returns
+// the model's delta, local − params, computed in place over the local
+// parameter vector. The delta lives in a buffer the next call
+// overwrites; the utility score and every codec read it without keeping
+// a reference (the codecs copy what they transmit or carry).
+func (s *clientSession) trainFrom(params []float64) []float64 {
+	s.model.SetParamVector(params)
+	trainStart := time.Now()
+	for step := 0; step < s.cfg.LocalSteps; step++ {
+		x, labels := s.iter.Next()
+		s.model.ZeroGrads()
+		s.model.TrainBatch(x, labels)
+		s.opt.Step(s.model)
+	}
+	s.met.trainSec.Observe(time.Since(trainStart).Seconds())
+	s.delta = s.model.ParamVectorInto(s.delta)
+	tensor.SubVec(s.delta, s.delta, params)
+	return s.delta
 }
 
 func (s *clientSession) commitPending() {
@@ -378,19 +400,7 @@ func (s *clientSession) runOnce() (done, progressed bool, err error) {
 				return false, true, fmt.Errorf("rpc: client %d: global delta length %d vs %d params: %w",
 					cfg.ID, len(e.GlobalDelta), len(e.Params), errProtocol)
 			}
-			// Local training from the received global model.
-			s.model.SetParamVector(e.Params)
-			trainStart := time.Now()
-			for step := 0; step < cfg.LocalSteps; step++ {
-				x, labels := s.iter.Next()
-				s.model.ZeroGrads()
-				s.model.TrainBatch(x, labels)
-				s.opt.Step(s.model)
-			}
-			s.met.trainSec.Observe(time.Since(trainStart).Seconds())
-			local := s.model.ParamVector()
-			delta := make([]float64, len(local))
-			tensor.SubVec(delta, local, e.Params)
+			delta := s.trainFrom(e.Params)
 			// Utility score against the server-provided ĝ.
 			up, down := cfg.UpBps, cfg.DownBps
 			if cfg.Bandwidth != nil {
@@ -509,19 +519,7 @@ func (s *clientSession) runAsyncOnce() (done, progressed bool, err error) {
 					cfg.ID, len(e.Params), s.model.NumParams(), errProtocol)
 			}
 			version := e.Round
-			s.model.SetParamVector(e.Params)
-			trainStart := time.Now()
-			for step := 0; step < cfg.LocalSteps; step++ {
-				x, labels := s.iter.Next()
-				s.model.ZeroGrads()
-				s.model.TrainBatch(x, labels)
-				s.opt.Step(s.model)
-			}
-			s.met.trainSec.Observe(time.Since(trainStart).Seconds())
-			local := s.model.ParamVector()
-			delta := make([]float64, len(local))
-			tensor.SubVec(delta, local, e.Params)
-			msg := s.codec.Encode(delta, ratio)
+			msg := s.codec.Encode(s.trainFrom(e.Params), ratio)
 			// Round pins the version this delta was trained from: the
 			// server derives staleness from it when the push is folded.
 			if err := conn.Send(&Envelope{Type: MsgAsyncPush, ClientID: cfg.ID, Round: version, Update: msg}); err != nil {
