@@ -4,13 +4,14 @@
 
 GO ?= go
 
-.PHONY: check lint vet build test race chaos fuzz cover fleet bench bench-gemm bench-train bench-wire
+.PHONY: check lint vet cross build test race chaos fuzz cover fleet bench bench-gemm bench-train bench-wire
 
 check: lint build test race
 
-# Static gate: vet plus gofmt as a *failing* check — gofmt -l prints the
-# offending files and the target exits non-zero if any exist.
-lint: vet
+# Static gate: vet, the non-amd64 build, and gofmt as a *failing* check —
+# gofmt -l prints the offending files and the target exits non-zero if any
+# exist.
+lint: vet cross
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: the following files need formatting:"; \
@@ -20,6 +21,12 @@ lint: vet
 
 vet:
 	$(GO) vet ./...
+
+# The pure-Go GEMM fallback is all that non-amd64 builds get, and every
+# assembly symbol needs its gemm_noasm.go stub there; an amd64-only
+# `go test ./...` never compiles that file.
+cross:
+	GOARCH=arm64 $(GO) vet ./internal/tensor/ && GOARCH=arm64 $(GO) build ./...
 
 build:
 	$(GO) build ./...
@@ -89,17 +96,21 @@ fleet:
 	$(GO) run ./cmd/flfleet -clients 500 -shards 4 -rounds 3 -dim 5000 -nnz 250 -mode buffered
 
 # Hot-path microbenchmarks with allocation stats; see DESIGN.md §GEMM for
-# how these map onto BENCH_1.json.
+# how these map onto BENCH_1.json. BenchmarkGEMMShapes is the per-shape
+# ledger (every GEMM of a paper-CNN and a wire-MLP training step, at one
+# and two workers) that BENCH_15.json records.
 bench-gemm:
-	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkMatMulNaive|BenchmarkMatMulParallel|BenchmarkMatMulTranspose' -benchtime 2s -benchmem ./internal/tensor/
+	$(GO) test -run xxx -bench 'BenchmarkMatMul|BenchmarkMatMulNaive|BenchmarkMatMulParallel|BenchmarkMatMulTranspose|BenchmarkGEMMShapes' -benchtime 2s -benchmem ./internal/tensor/
 
 # BENCH_4.json records the observability-overhead check: BenchmarkTrainRound
 # with metrics disabled (nil registry) must match the pre-obs baseline —
 # the nil-receiver no-op instruments are allocation-free by construction
-# (pinned by TestNilInstrumentsAllocationFree in internal/obs).
+# (pinned by TestNilInstrumentsAllocationFree in internal/obs). Both -cpu
+# settings run because the GEMM worker budget is taken from GOMAXPROCS at
+# start-up, not from -cpu: allocs/op must read the same at 1 and 2.
 bench-train:
-	$(GO) test -run xxx -bench 'BenchmarkConv|BenchmarkDense' -benchtime 2s -benchmem ./internal/nn/
-	$(GO) test -run xxx -bench 'BenchmarkTrainRound|BenchmarkPaperCNNTrainBatch|BenchmarkDGCEncode431k|BenchmarkTopKSelect431k' -benchtime 2s -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkConv|BenchmarkDense' -cpu 1,2 -benchtime 2s -benchmem ./internal/nn/
+	$(GO) test -run xxx -bench 'BenchmarkTrainRound|BenchmarkPaperCNNTrainBatch|BenchmarkDGCEncode431k|BenchmarkTopKSelect431k' -cpu 1,2 -benchtime 2s -benchmem .
 
 # Wire-codec microbenchmarks (bytes/op, allocs/op for sparse-update and
 # full-model frames) plus a bounded socket fleet over unix sockets.

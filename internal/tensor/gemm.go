@@ -10,23 +10,26 @@ import (
 // Blocked GEMM kernels.
 //
 // All four matmul variants (MatMulInto, MatMulTransposeA, MatMulTransposeB,
-// MatMulTransposeBAdd) share the same structure: an outer cache-blocking
-// loop nest (KC over the reduction dimension, NC over output columns) around
-// a 4×4 register micro-kernel that keeps sixteen independent accumulator
-// chains live, so the FPU pipeline is never stalled on a single running sum
-// and every loaded element of B is reused four times. The im2col lowering in
-// internal/nn funnels all convolution work through these kernels, so they
-// are the hot path of every experiment in the repository.
+// MatMulTransposeBAdd) have two implementations. On CPUs with AVX2+FMA
+// (simdEnabled) the axpy forms (c = a@b, c += aᵀ@b) run a 4×8
+// register-tiled assembly kernel that keeps each C tile in YMM registers
+// for the whole reduction, and the dot forms (c = a@bᵀ) run 2×4 and 1×4
+// assembly dot tiles. Everywhere else a pure-Go blocked kernel runs: an
+// outer cache-blocking loop nest (KC over the reduction dimension, NC over
+// output columns) around a 4×4 register micro-kernel. The im2col lowering
+// in internal/nn funnels all convolution work through these kernels, so
+// they are the hot path of every experiment in the repository.
 //
-// Large products additionally fan out across goroutines over disjoint row
-// blocks of C. The fan-out is gated twice: products below minParallelWork
-// multiply-adds stay serial, and helper goroutines are drawn from a global
-// token budget (SetMatMulWorkers) shared by every concurrent matmul, so
-// client-level parallelism in fl.SyncEngine cannot oversubscribe the
-// machine — at most budget-1 helper goroutines exist process-wide no matter
-// how many clients train at once. Each row of C is computed entirely by one
-// worker with a fixed loop structure, so results are bit-identical
-// regardless of the worker count — parallel runs stay deterministic.
+// Large products additionally fan out over disjoint row blocks of C to
+// long-lived helper goroutines. The fan-out is gated twice: products below
+// minParallelWork multiply-adds stay serial, and helpers are drawn from a
+// global token budget (SetMatMulWorkers) shared by every concurrent
+// matmul, so client-level parallelism in fl.SyncEngine cannot
+// oversubscribe the machine — at most budget-1 helpers run GEMM work at
+// once no matter how many clients train at once. Each row of C is computed
+// entirely by one worker with a fixed loop structure, so results are
+// bit-identical regardless of the worker count — parallel runs stay
+// deterministic.
 
 const (
 	// gemmKC blocks the reduction dimension so the active A panel and B
@@ -37,6 +40,14 @@ const (
 	gemmNC = 1024
 	// gemmMR is the micro-kernel height (rows of C per register tile).
 	gemmMR = 4
+	// gemmPanelBytes bounds the kc×panel block of B that the SIMD axpy
+	// kernel streams past every 4-row block of its range, so the block
+	// stays in L2 while the row blocks reuse it.
+	gemmPanelBytes = 256 << 10
+	// gemmMinKC is the shortest reduction chunk the SIMD axpy kernel cuts
+	// a long reduction into: each chunk costs one load and store of the C
+	// tile.
+	gemmMinKC = 64
 	// minParallelWork is the m·k·n multiply-add count below which a product
 	// runs serially: small matmuls finish before a goroutine handoff pays
 	// for itself.
@@ -116,31 +127,123 @@ func planHelpers(m, work int) int {
 	return acquireHelpers(m/gemmMR - 1)
 }
 
-// runRows splits the row range [0, m) across the calling goroutine and
-// helpers (> 0) already-acquired helper tokens, calling fn on disjoint
-// sub-ranges. Chunks are aligned to gemmMR so every worker runs full
-// micro-kernel tiles; per-row results do not depend on the partition, so
-// output is bit-identical to a serial run.
-func runRows(helpers, m int, fn func(i0, i1 int)) {
-	workers := helpers + 1
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		s := w * chunk
-		if s >= m {
-			break
-		}
-		e := min(s+chunk, m)
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			fn(s, e)
-		}(s, e)
+// gemmForm names the product a gemmTask computes.
+type gemmForm uint8
+
+const (
+	formAB     gemmForm = iota // c = a @ b
+	formATB                    // c += aᵀ @ b
+	formABT                    // c = a @ bᵀ
+	formABTAdd                 // c += a @ bᵀ
+)
+
+// gemmTask is one row range [i0,i1) of one product. It travels to a helper
+// by value, so handing out work allocates nothing.
+type gemmTask struct {
+	form    gemmForm
+	c, a, b []float64
+	k, m, n int
+	i0, i1  int
+}
+
+func (t *gemmTask) run() {
+	switch t.form {
+	case formAB:
+		gemmRows(t.c, t.a, t.b, t.k, t.n, t.i0, t.i1)
+	case formATB:
+		gemmTARows(t.c, t.a, t.b, t.k, t.m, t.n, t.i0, t.i1)
+	default:
+		gemmTBRows(t.c, t.a, t.b, t.k, t.n, t.i0, t.i1, t.form == formABTAdd)
 	}
-	fn(0, min(chunk, m))
-	wg.Wait()
-	releaseHelpers(helpers)
+}
+
+// gemmHelper is one long-lived fan-out goroutine; its two channels are
+// its task slot. Helpers are started on first demand and then live for
+// the process, parked on work: the token budget caps how many run at
+// once, so at most (largest budget ever set) - 1 of them exist.
+type gemmHelper struct {
+	work chan gemmTask
+	done chan struct{}
+	next *gemmHelper // link in the idle list or in a caller's crew
+}
+
+func (h *gemmHelper) loop() {
+	for t := range h.work {
+		t.run()
+		h.done <- struct{}{}
+	}
+}
+
+// idleHelpers is the stack of parked helpers.
+var idleHelpers struct {
+	mu   sync.Mutex
+	head *gemmHelper
+}
+
+// takeHelpers pops n idle helpers as a linked crew, starting new ones when
+// too few are parked.
+func takeHelpers(n int) *gemmHelper {
+	var crew *gemmHelper
+	idleHelpers.mu.Lock()
+	defer idleHelpers.mu.Unlock()
+	for ; n > 0; n-- {
+		h := idleHelpers.head
+		if h != nil {
+			idleHelpers.head = h.next
+		} else {
+			h = &gemmHelper{work: make(chan gemmTask), done: make(chan struct{})}
+			go h.loop()
+		}
+		h.next = crew
+		crew = h
+	}
+	return crew
+}
+
+// parkHelpers pushes a finished crew back onto the idle stack.
+func parkHelpers(crew *gemmHelper) {
+	idleHelpers.mu.Lock()
+	defer idleHelpers.mu.Unlock()
+	for crew != nil {
+		h := crew
+		crew = h.next
+		h.next = idleHelpers.head
+		idleHelpers.head = h
+	}
+}
+
+// runRows computes rows [0, t.m) of t's product. A large enough product is
+// split across the calling goroutine and helpers in chunks aligned to
+// gemmMR, so every worker runs full micro-kernel tiles; per-row results do
+// not depend on the partition, so output is bit-identical to a serial run.
+func runRows(t gemmTask) {
+	m := t.m
+	helpers := planHelpers(m, m*t.k*t.n)
+	if helpers == 0 {
+		t.i0, t.i1 = 0, m
+		t.run()
+		return
+	}
+	chunk := (m + helpers) / (helpers + 1)
+	chunk = (chunk + gemmMR - 1) / gemmMR * gemmMR
+	parts := (m + chunk - 1) / chunk
+	releaseHelpers(helpers - (parts - 1))
+	crew := takeHelpers(parts - 1)
+	s := chunk
+	for h := crew; h != nil; h = h.next {
+		t.i0, t.i1 = s, min(s+chunk, m)
+		h.work <- t
+		s += chunk
+	}
+	t.i0, t.i1 = 0, min(chunk, m)
+	t.run()
+	for h := crew; h != nil; h = h.next {
+		<-h.done
+	}
+	// Park before releasing the tokens, so a caller that wins them finds
+	// these helpers idle instead of starting new ones.
+	parkHelpers(crew)
+	releaseHelpers(parts - 1)
 }
 
 // MatMulInto computes c = a @ b into an existing (m×n) tensor, where a is
@@ -153,13 +256,7 @@ func MatMulInto(c, a, b *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulInto output shape mismatch")
 	}
-	if helpers := planHelpers(m, m*k*n); helpers > 0 {
-		runRows(helpers, m, func(i0, i1 int) {
-			gemmRows(c.Data, a.Data, b.Data, k, n, i0, i1)
-		})
-		return
-	}
-	gemmRows(c.Data, a.Data, b.Data, k, n, 0, m)
+	runRows(gemmTask{form: formAB, c: c.Data, a: a.Data, b: b.Data, k: k, m: m, n: n})
 }
 
 // gemmRows computes rows [i0,i1) of c = a @ b (overwriting them).
@@ -171,7 +268,9 @@ func gemmRows(c, a, b []float64, k, n, i0, i1 int) {
 		}
 	}
 	if simdEnabled {
-		gemmRowsFMA(c, a, b, k, n, i0, i1)
+		for i := fmaAxpyBlocks(c, a, b, k, n, i0, i1, k, 1); i < i1; i++ {
+			gemmMicro1(c, a, b, k, n, i, 0, k, 0, n)
+		}
 		return
 	}
 	for pc := 0; pc < k; pc += gemmKC {
@@ -189,30 +288,47 @@ func gemmRows(c, a, b []float64, k, n, i0, i1 int) {
 	}
 }
 
-// gemmRowsFMA computes rows [i0,i1) of c += a @ b with the quad-axpy
-// assembly kernel: for each reduction index p, the B row streams through
-// four FMA lanes feeding four rows of C. Rows must be pre-zeroed. The
-// per-element accumulation order (ascending p) matches the scalar path.
-func gemmRowsFMA(c, a, b []float64, k, n, i0, i1 int) {
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		w := je - jc
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			c0 := c[i*n+jc : i*n+je]
-			c1 := c[(i+1)*n+jc : (i+1)*n+je]
-			c2 := c[(i+2)*n+jc : (i+2)*n+je]
-			c3 := c[(i+3)*n+jc : (i+3)*n+je]
-			for p := 0; p < k; p++ {
-				br := b[p*n+jc : p*n+je]
-				fmaAxpy4(&c0[0], &c1[0], &c2[0], &c3[0], &br[0], w,
-					a[i*k+p], a[(i+1)*k+p], a[(i+2)*k+p], a[(i+3)*k+p])
+// fmaAxpyBlocks accumulates c += A @ b over the full 4-row blocks of rows
+// [i0,i1), where A(i,p) = a[i*rsa + p*psa], and returns the first row it
+// left alone. Every element of those rows gets one fused multiply-add per
+// reduction index p, in ascending p, starting from its value on entry:
+// the 4×8 tile kernel does that in registers for the first n&^7 columns,
+// the quad-axpy kernel (vector lanes, then fused scalar tail) for the
+// rest.
+//
+// The reduction runs in chunks of kc rows of B, sized so a chunk's rows
+// of the column panel stay in L2 while every row block streams them; C
+// goes to memory and back between chunks, which rounds nothing. Without
+// the chunking, a tile's k×8 column strip of B maps onto a few cache sets
+// whenever B's row stride is a multiple of 4 KiB (n = 512) and is fetched
+// from L3 for every row block.
+func fmaAxpyBlocks(c, a, b []float64, k, n, i0, i1, rsa, psa int) int {
+	iEnd := i0 + (i1-i0)/gemmMR*gemmMR
+	if k == 0 || n == 0 || iEnd == i0 {
+		return iEnd
+	}
+	n8 := n &^ 7
+	kc := min(k, max(gemmMinKC, gemmPanelBytes/(8*n)))
+	panel := max(8, gemmPanelBytes/(8*kc)&^7)
+	for pc := 0; pc < k; pc += kc {
+		kb := min(kc, k-pc)
+		for jc := 0; jc < n8; jc += panel {
+			w := min(panel, n8-jc)
+			for i := i0; i < iEnd; i += gemmMR {
+				fmaTile4x8(&c[i*n+jc], n, &a[i*rsa+pc*psa], rsa, psa, &b[pc*n+jc], n, kb, w/8)
 			}
 		}
-		for ; i < i1; i++ {
-			gemmMicro1(c, a, b, k, n, i, 0, k, jc, je)
+	}
+	if n8 < n {
+		for i := i0; i < iEnd; i += gemmMR {
+			for p := 0; p < k; p++ {
+				ap := i*rsa + p*psa
+				fmaAxpy4(&c[i*n+n8], &c[(i+1)*n+n8], &c[(i+2)*n+n8], &c[(i+3)*n+n8], &b[p*n+n8], n-n8,
+					a[ap], a[ap+rsa], a[ap+2*rsa], a[ap+3*rsa])
+			}
 		}
 	}
+	return iEnd
 }
 
 // gemmMicro4 accumulates the contribution of A columns [pc,pe) into the
@@ -349,13 +465,11 @@ func matMulTransposeB(c, a, b *Tensor, add bool) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulTransposeB output shape mismatch")
 	}
-	if helpers := planHelpers(m, m*k*n); helpers > 0 {
-		runRows(helpers, m, func(i0, i1 int) {
-			gemmTBRows(c.Data, a.Data, b.Data, k, n, i0, i1, add)
-		})
-		return
+	form := formABT
+	if add {
+		form = formABTAdd
 	}
-	gemmTBRows(c.Data, a.Data, b.Data, k, n, 0, m, add)
+	runRows(gemmTask{form: form, c: c.Data, a: a.Data, b: b.Data, k: k, m: m, n: n})
 }
 
 // gemmTBRows computes rows [i0,i1) of c = a @ bᵀ (dot-product form: both
@@ -485,23 +599,52 @@ func gemmTBRows(c, a, b []float64, k, n, i0, i1 int, add bool) {
 	}
 }
 
-// gemmTBRowsFMA computes rows [i0,i1) of c += a @ bᵀ with the quad-dot
-// assembly kernel: one row of A against four rows of B per call, all
-// contiguous. Rows must be pre-zeroed unless accumulating.
+// gemmTBRowsFMA computes rows [i0,i1) of c += a @ bᵀ with the assembly
+// dot tiles: two rows of A against four rows of B per fmaDot2x4 call, a
+// last odd row through fmaDot4, all contiguous. Both give every output
+// the same arithmetic, so the pairing does not change a bit. Blocks of B
+// rows sit outside the row pairs, so a block stays in L2 while every pair
+// streams it. Rows must be pre-zeroed unless accumulating.
 func gemmTBRowsFMA(c, a, b []float64, k, n, i0, i1 int) {
+	if k == 0 {
+		return
+	}
+	n4 := n &^ 3
+	jb := max(4, gemmPanelBytes/(8*k)&^3)
+	for jc := 0; jc < n4; jc += jb {
+		je := min(jc+jb, n4)
+		i := i0
+		for ; i+2 <= i1; i += 2 {
+			c0 := c[i*n : (i+1)*n]
+			c1 := c[(i+1)*n : (i+2)*n]
+			for j := jc; j < je; j += 4 {
+				s00, s01, s02, s03, s10, s11, s12, s13 := fmaDot2x4(&a[i*k], &b[j*k], k)
+				c0[j] += s00
+				c0[j+1] += s01
+				c0[j+2] += s02
+				c0[j+3] += s03
+				c1[j] += s10
+				c1[j+1] += s11
+				c1[j+2] += s12
+				c1[j+3] += s13
+			}
+		}
+		if i < i1 {
+			cr := c[i*n : (i+1)*n]
+			for j := jc; j < je; j += 4 {
+				s0, s1, s2, s3 := fmaDot4(&a[i*k],
+					&b[j*k], &b[(j+1)*k], &b[(j+2)*k], &b[(j+3)*k], k)
+				cr[j] += s0
+				cr[j+1] += s1
+				cr[j+2] += s2
+				cr[j+3] += s3
+			}
+		}
+	}
 	for i := i0; i < i1; i++ {
 		ar := a[i*k : (i+1)*k]
 		cr := c[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			s0, s1, s2, s3 := fmaDot4(&ar[0],
-				&b[j*k], &b[(j+1)*k], &b[(j+2)*k], &b[(j+3)*k], k)
-			cr[j] += s0
-			cr[j+1] += s1
-			cr[j+2] += s2
-			cr[j+3] += s3
-		}
-		for ; j < n; j++ {
+		for j := n4; j < n; j++ {
 			bj := b[j*k : (j+1)*k]
 			s := 0.0
 			for p, av := range ar {
@@ -523,13 +666,7 @@ func MatMulTransposeA(c, a, b *Tensor) {
 	if c.Rank() != 2 || c.Dim(0) != m || c.Dim(1) != n {
 		panic("tensor: MatMulTransposeA output shape mismatch")
 	}
-	if helpers := planHelpers(m, m*k*n); helpers > 0 {
-		runRows(helpers, m, func(i0, i1 int) {
-			gemmTARows(c.Data, a.Data, b.Data, k, m, n, i0, i1)
-		})
-		return
-	}
-	gemmTARows(c.Data, a.Data, b.Data, k, m, n, 0, m)
+	runRows(gemmTask{form: formATB, c: c.Data, a: a.Data, b: b.Data, k: k, m: m, n: n})
 }
 
 // gemmTARows accumulates rows [i0,i1) of c += aᵀ @ b (saxpy form: for each
@@ -537,7 +674,9 @@ func MatMulTransposeA(c, a, b *Tensor) {
 // of C index columns of A, so the four A values sit contiguously).
 func gemmTARows(c, a, b []float64, k, m, n, i0, i1 int) {
 	if simdEnabled {
-		gemmTARowsFMA(c, a, b, k, m, n, i0, i1)
+		for i := fmaAxpyBlocks(c, a, b, k, n, i0, i1, 1, m); i < i1; i++ {
+			gemmTARow1(c, a, b, k, m, n, i, 0, n)
+		}
 		return
 	}
 	for jc := 0; jc < n; jc += gemmNC {
@@ -561,53 +700,23 @@ func gemmTARows(c, a, b []float64, k, m, n, i0, i1 int) {
 			}
 		}
 		for ; i < i1; i++ {
-			cr := c[i*n+jc : i*n+je]
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				br := b[p*n+jc : p*n+je]
-				for j, bv := range br {
-					cr[j] += av * bv
-				}
-			}
+			gemmTARow1(c, a, b, k, m, n, i, jc, je)
 		}
 	}
 }
 
-// gemmTARowsFMA accumulates rows [i0,i1) of c += aᵀ @ b with the quad-axpy
-// assembly kernel; the four A values per reduction step sit contiguously
-// (they are adjacent columns of one A row).
-func gemmTARowsFMA(c, a, b []float64, k, m, n, i0, i1 int) {
-	for jc := 0; jc < n; jc += gemmNC {
-		je := min(jc+gemmNC, n)
-		w := je - jc
-		i := i0
-		for ; i+gemmMR <= i1; i += gemmMR {
-			c0 := c[i*n+jc : i*n+je]
-			c1 := c[(i+1)*n+jc : (i+1)*n+je]
-			c2 := c[(i+2)*n+jc : (i+2)*n+je]
-			c3 := c[(i+3)*n+jc : (i+3)*n+je]
-			for p := 0; p < k; p++ {
-				ap := a[p*m+i : p*m+i+4 : p*m+i+4]
-				br := b[p*n+jc : p*n+je]
-				fmaAxpy4(&c0[0], &c1[0], &c2[0], &c3[0], &br[0], w,
-					ap[0], ap[1], ap[2], ap[3])
-			}
+// gemmTARow1 is the single-row remainder of c += aᵀ @ b over columns
+// [jc,je): one scalar axpy per reduction step, skipping zero A values.
+func gemmTARow1(c, a, b []float64, k, m, n, i, jc, je int) {
+	cr := c[i*n+jc : i*n+je]
+	for p := 0; p < k; p++ {
+		av := a[p*m+i]
+		if av == 0 {
+			continue
 		}
-		for ; i < i1; i++ {
-			cr := c[i*n+jc : i*n+je]
-			for p := 0; p < k; p++ {
-				av := a[p*m+i]
-				if av == 0 {
-					continue
-				}
-				br := b[p*n+jc : p*n+je]
-				for j, bv := range br {
-					cr[j] += av * bv
-				}
-			}
+		br := b[p*n+jc : p*n+je]
+		for j, bv := range br {
+			cr[j] += av * bv
 		}
 	}
 }

@@ -11,6 +11,12 @@ func fmaAxpy4(c0, c1, c2, c3, b *float64, n int, a0, a1, a2, a3 float64)
 //go:noescape
 func fmaDot4(a, b0, b1, b2, b3 *float64, n int) (s0, s1, s2, s3 float64)
 
+//go:noescape
+func fmaTile4x8(c *float64, ldc int, a *float64, rsa, psa int, b *float64, ldb, k, tiles int)
+
+//go:noescape
+func fmaDot2x4(a, b *float64, k int) (s00, s01, s02, s03, s10, s11, s12, s13 float64)
+
 // detectSIMD reports whether the CPU and OS support the AVX2+FMA kernels:
 // CPUID must advertise FMA, AVX and AVX2, the OS must have enabled XSAVE
 // (OSXSAVE) and be preserving XMM+YMM state across context switches.

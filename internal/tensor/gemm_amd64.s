@@ -179,3 +179,192 @@ store:
 	VMOVSD X3, s3+72(FP)
 	VZEROUPPER
 	RET
+
+// func fmaTile4x8(c *float64, ldc int, a *float64, rsa, psa int, b *float64, ldb, k, tiles int)
+//
+// The register-tiled axpy kernel: a 4×8 block of C (eight YMM
+// accumulators, two per row) stays in registers for the whole reduction.
+// For p in [0,k), with A(r,p) = a[r*rsa + p*psa] and B row p at b + p*ldb:
+//	C[r][j] = fma(A(r,p), B[p][j], C[r][j])	for r in 0..3, j in 0..7
+// so every element sees the fused chain in ascending p that fmaAxpy4
+// gives it, starting from the value C holds on entry. rsa=k, psa=1 is
+// c += a@b; rsa=1, psa=m is c += aᵀ@b. The kernel walks `tiles`
+// consecutive 8-column tiles, reusing the same four A rows. Strides are
+// in elements.
+TEXT ·fmaTile4x8(SB), NOSPLIT, $0-72
+	MOVQ c+0(FP), DI
+	MOVQ ldc+8(FP), R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R13     // 3*ldc bytes
+	MOVQ rsa+24(FP), R9
+	SHLQ $3, R9
+	LEAQ (R9)(R9*2), R14     // 3*rsa bytes
+	MOVQ psa+32(FP), R10
+	SHLQ $3, R10
+	MOVQ b+40(FP), SI        // B at the current tile, row 0
+	MOVQ ldb+48(FP), R11
+	SHLQ $3, R11
+	MOVQ k+56(FP), DX
+	MOVQ tiles+64(FP), BX
+	TESTQ BX, BX
+	JE   tdone
+
+tile:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (DI)(R8*2), Y4
+	VMOVUPD 32(DI)(R8*2), Y5
+	VMOVUPD (DI)(R13*1), Y6
+	VMOVUPD 32(DI)(R13*1), Y7
+	MOVQ a+16(FP), AX
+	MOVQ SI, R12
+	MOVQ DX, CX
+	TESTQ CX, CX
+	JE   store
+
+ploop:
+	VMOVUPD (R12), Y8
+	VMOVUPD 32(R12), Y9
+	VBROADCASTSD (AX), Y10
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y1
+	VBROADCASTSD (AX)(R9*1), Y11
+	VFMADD231PD Y8, Y11, Y2
+	VFMADD231PD Y9, Y11, Y3
+	VBROADCASTSD (AX)(R9*2), Y12
+	VFMADD231PD Y8, Y12, Y4
+	VFMADD231PD Y9, Y12, Y5
+	VBROADCASTSD (AX)(R14*1), Y13
+	VFMADD231PD Y8, Y13, Y6
+	VFMADD231PD Y9, Y13, Y7
+	ADDQ R10, AX
+	ADDQ R11, R12
+	DECQ CX
+	JNE  ploop
+
+store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (DI)(R8*2)
+	VMOVUPD Y5, 32(DI)(R8*2)
+	VMOVUPD Y6, (DI)(R13*1)
+	VMOVUPD Y7, 32(DI)(R13*1)
+	ADDQ $64, DI
+	ADDQ $64, SI
+	DECQ BX
+	JNE  tile
+
+tdone:
+	VZEROUPPER
+	RET
+
+// REDUCE folds the 4-lane accumulator y (x is its low half) into its low
+// lane as (l0+l2) + (l1+l3), the order fmaDot4 uses; t is scratch.
+#define REDUCE(y, x, t) \
+	VEXTRACTF128 $1, y, t; \
+	VADDPD t, x, x; \
+	VUNPCKHPD x, x, t; \
+	VADDSD t, x, x
+
+// func fmaDot2x4(a, b *float64, k int) (s00, s01, s02, s03, s10, s11, s12, s13 float64)
+//
+// Eight dot products of two rows of A (a, a+k) against four rows of B
+// (b, b+k, b+2k, b+3k), all of length k: the 2×4 tile of c = a@bᵀ. Each
+// output keeps fmaDot4's arithmetic exactly: a 4-lane fused accumulator
+// over p < k&^3, the same lane reduction, then a fused scalar tail.
+TEXT ·fmaDot2x4(SB), NOSPLIT, $0-88
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), R8
+	MOVQ k+16(FP), CX
+	MOVQ CX, DX
+	SHLQ $3, DX              // row stride in bytes
+	LEAQ (SI)(DX*1), DI      // A row 1
+	LEAQ (R8)(DX*1), R9      // B row 1
+	LEAQ (R8)(DX*2), R10     // B row 2
+	LEAQ (R9)(DX*2), R11     // B row 3
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+dloop4:
+	CMPQ CX, $4
+	JLT  dreduce
+	VMOVUPD (SI), Y8
+	VMOVUPD (DI), Y9
+	VMOVUPD (R8), Y10
+	VFMADD231PD Y8, Y10, Y0
+	VFMADD231PD Y9, Y10, Y4
+	VMOVUPD (R9), Y11
+	VFMADD231PD Y8, Y11, Y1
+	VFMADD231PD Y9, Y11, Y5
+	VMOVUPD (R10), Y12
+	VFMADD231PD Y8, Y12, Y2
+	VFMADD231PD Y9, Y12, Y6
+	VMOVUPD (R11), Y13
+	VFMADD231PD Y8, Y13, Y3
+	VFMADD231PD Y9, Y13, Y7
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	SUBQ $4, CX
+	JMP  dloop4
+
+dreduce:
+	REDUCE(Y0, X0, X8)
+	REDUCE(Y1, X1, X9)
+	REDUCE(Y2, X2, X10)
+	REDUCE(Y3, X3, X11)
+	REDUCE(Y4, X4, X12)
+	REDUCE(Y5, X5, X13)
+	REDUCE(Y6, X6, X14)
+	REDUCE(Y7, X7, X15)
+
+	TESTQ CX, CX
+	JE   dstore
+dtail:
+	VMOVSD (SI), X8
+	VMOVSD (DI), X9
+	VMOVSD (R8), X10
+	VFMADD231SD X8, X10, X0
+	VFMADD231SD X9, X10, X4
+	VMOVSD (R9), X10
+	VFMADD231SD X8, X10, X1
+	VFMADD231SD X9, X10, X5
+	VMOVSD (R10), X10
+	VFMADD231SD X8, X10, X2
+	VFMADD231SD X9, X10, X6
+	VMOVSD (R11), X10
+	VFMADD231SD X8, X10, X3
+	VFMADD231SD X9, X10, X7
+	ADDQ $8, SI
+	ADDQ $8, DI
+	ADDQ $8, R8
+	ADDQ $8, R9
+	ADDQ $8, R10
+	ADDQ $8, R11
+	DECQ CX
+	JNE  dtail
+
+dstore:
+	VMOVSD X0, s00+24(FP)
+	VMOVSD X1, s01+32(FP)
+	VMOVSD X2, s02+40(FP)
+	VMOVSD X3, s03+48(FP)
+	VMOVSD X4, s10+56(FP)
+	VMOVSD X5, s11+64(FP)
+	VMOVSD X6, s12+72(FP)
+	VMOVSD X7, s13+80(FP)
+	VZEROUPPER
+	RET

@@ -108,3 +108,63 @@ func BenchmarkMatMulTransposeB(b *testing.B) {
 		MatMulTransposeB(c, a, w)
 	}
 }
+
+// ledgerShapes are the products one training step runs, each in the form
+// its layer calls: the paper CNN at batch 16 (perfbench's sim-cnn) and the
+// wire MLP 784→512→10 (wire-sync). m×k×n is c's rows × the reduction ×
+// c's columns.
+var ledgerShapes = []struct {
+	name    string
+	form    string // "ab": c = a@b, "atb": c += aᵀ@b, "abt": c = a@bᵀ, "abt+": c += a@bᵀ
+	m, k, n int
+}{
+	{"conv1-fwd", "ab", 20, 25, 576},
+	{"conv2-fwd", "ab", 50, 500, 64},
+	{"conv2-dcols", "atb", 500, 50, 64},
+	{"conv2-dW", "abt+", 50, 64, 500},
+	{"dense-fwd", "ab", 16, 800, 500},
+	{"dense-dW", "atb", 800, 16, 500},
+	{"dense-dx", "abt", 16, 500, 800},
+	{"mlp-fwd", "ab", 16, 784, 512},
+	{"mlp-dW", "atb", 784, 16, 512},
+	{"mlp-head", "ab", 16, 512, 10},
+}
+
+// BenchmarkGEMMShapes is the GEMM ledger: every ledger shape through the
+// public entry points at one and two workers, in multiply-adds per
+// nanosecond. At two workers a product large enough to fan out must still
+// report 0 allocs/op.
+func BenchmarkGEMMShapes(b *testing.B) {
+	for _, s := range ledgerShapes {
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s-%dx%dx%d/w%d", s.name, s.m, s.k, s.n, workers)
+			b.Run(name, func(b *testing.B) {
+				old := MatMulWorkers()
+				SetMatMulWorkers(workers)
+				defer SetMatMulWorkers(old)
+				c := New(s.m, s.n)
+				var product func()
+				switch s.form {
+				case "ab":
+					a, bb := randMat(s.m, s.k, 1), randMat(s.k, s.n, 2)
+					product = func() { MatMulInto(c, a, bb) }
+				case "atb":
+					a, bb := randMat(s.k, s.m, 1), randMat(s.k, s.n, 2)
+					product = func() { MatMulTransposeA(c, a, bb) }
+				case "abt":
+					a, bb := randMat(s.m, s.k, 1), randMat(s.n, s.k, 2)
+					product = func() { MatMulTransposeB(c, a, bb) }
+				case "abt+":
+					a, bb := randMat(s.m, s.k, 1), randMat(s.n, s.k, 2)
+					product = func() { MatMulTransposeBAdd(c, a, bb) }
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					product()
+				}
+				b.ReportMetric(float64(s.m*s.k*s.n)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "madd/ns")
+			})
+		}
+	}
+}
